@@ -46,6 +46,7 @@ from .criteria import (
     moran_dimension,
     p2_certificate,
     subtree_criterion,
+    word_sum,
 )
 from .freegroup import (
     IndexResult,
@@ -71,10 +72,8 @@ from .solver import (
     verify_p2_strategy,
 )
 from .tree import (
-    Alphabet,
     Position,
     PositionSet,
-    antichain_check,
     concat_prefix_member,
     hat,
     is_prefix,

@@ -4,13 +4,16 @@ Every subcommand reads JSON instance files (or inline generator strings),
 routes to the corresponding module operation, and prints a JSON report
 with exact rationals rendered as "numerator/denominator" strings.  Exit
 status: 0 success, 1 a checked property was violated, 2 usage or file
-errors.  The environment variable OPENGAME_BUDGET caps node counts when
---budget is not given.
+errors, 3 an internal failure (an assertion, arithmetic or recursion
+error inside the program), reported as one JSON line on stderr.  The
+environment variable OPENGAME_BUDGET caps node counts when --budget is
+not given.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
@@ -48,6 +51,7 @@ from .tree import hat, normalize_even
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _frac(value: Fraction) -> str:
@@ -139,7 +143,7 @@ def _cmd_codes_check(args: argparse.Namespace) -> int:
         "is_prefix_code": prefix_free,
         "is_bifix_code": is_bifix_code(code),
         "is_maximal": is_maximal(code) if prefix_free else None,
-        "words": [list(w) for w in code.sorted_words()],
+        "words": [list(w) for w in code.sorted_positions()],
     }
     _emit(payload)
     return EXIT_OK
@@ -152,7 +156,7 @@ def _cmd_codes_cx(args: argparse.Namespace) -> int:
     prefix_free = is_prefix_code(image)
     payload = {
         "alphabet_size": k,
-        "words": [list(w) for w in image.sorted_words()],
+        "words": [list(w) for w in image.sorted_positions()],
         "is_prefix_code": prefix_free,
         "is_maximal": is_maximal(image) if prefix_free else None,
     }
@@ -269,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="opengame",
         description="Winner criteria for open alternating-move games and prefix codes",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap (advisory)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="decide the winner of a game instance")
@@ -358,13 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except (files.FileFormatError, BudgetExceededError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (AssertionError, ArithmeticError, RecursionError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": error, "kind": "internal"}), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

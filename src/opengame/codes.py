@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
-from .criteria import is_minimal_size
+from .criteria import is_minimal_size, uniform_weight, word_sum
 from .solver import DEFAULT_BUDGET, GameInstance, Strategy, solve
-from .tree import Position, PositionSet, as_position, is_prefix
+from .tree import Position, PositionSet, is_prefix
 
 ENUMERATION_BUDGET = 1 << 20
 
@@ -30,46 +29,38 @@ class BudgetError(RuntimeError):
     """Enumeration budget exceeded."""
 
 
-@dataclass(frozen=True)
-class PrefixCode:
-    """Finite word set over symbols 0..alphabet_size-1; prefix-free when validated."""
+class PrefixCode(PositionSet):
+    """Finite word set over symbols 0..alphabet_size-1; prefix-free when ``antichain`` holds."""
 
-    words: frozenset[Position]
-    alphabet_size: int
-
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
+    def __init__(self, words: Iterable[Iterable[int]], alphabet_size: int):
+        super().__init__(words)
+        if alphabet_size < 2:
             raise ValueError("alphabet size must be at least 2")
-        for w in self.words:
-            if any(a >= self.alphabet_size for a in w):
+        for w in self.positions:
+            if any(a >= alphabet_size for a in w):
                 raise ValueError(f"symbol out of range in {w!r}")
+        self.alphabet_size = alphabet_size
 
     @classmethod
     def of(cls, words: Iterable[Iterable[int]], alphabet_size: int) -> "PrefixCode":
-        return cls(frozenset(as_position(w) for w in words), alphabet_size)
+        return cls(words, alphabet_size)
 
     @property
-    def max_length(self) -> int:
-        return max((len(w) for w in self.words), default=0)
+    def words(self) -> frozenset[Position]:
+        return self.positions
 
-    def sorted_words(self) -> list[Position]:
-        return sorted(self.words)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PrefixCode):
+            return NotImplemented
+        return (self.positions, self.alphabet_size) == (other.positions, other.alphabet_size)
 
-    def __iter__(self) -> Iterator[Position]:
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
+    def __hash__(self) -> int:
+        return hash((self.positions, self.alphabet_size))
 
 
 def is_prefix_code(code: PrefixCode) -> bool:
-    """True iff no word is a proper prefix of another word."""
-    words = code.words
-    for w in words:
-        for j in range(len(w)):
-            if w[:j] in words:
-                return False
-    return True
+    """True iff no word is a proper prefix of another word (cached on the code)."""
+    return code.antichain
 
 
 def is_bifix_code(code: PrefixCode) -> bool:
@@ -84,9 +75,7 @@ def is_bifix_code(code: PrefixCode) -> bool:
 
 
 def _maximal_by_kraft(code: PrefixCode) -> bool:
-    k = code.alphabet_size
-    total = sum((Fraction(1, k ** len(w)) for w in code.words), Fraction(0))
-    return total == 1
+    return word_sum(code, uniform_weight(code.alphabet_size)) == 1
 
 
 def _maximal_by_completeness(code: PrefixCode) -> bool:

@@ -7,18 +7,23 @@ interleaved position that stay consistent with the mover's lifted
 strategy gives the factor 2^(number of blocks where the responder's
 symbol differs from the mover's), and summing those counts with
 (2k-1)^(-length) weights yields an exact maximality test for prefix
-codes.  Measure-weighted variants cover countable alphabets.
+codes.  Measure-weighted variants cover countable alphabets.  Every exact
+sum here except the explicit-lift cross-check ``lifted_measure_sum`` is
+computed by ``criteria.word_sum`` from a per-stage symbol weight.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .codes import PrefixCode, is_prefix_code
-from .tree import Position, PositionSet, as_position
+from .criteria import uniform_weight, word_sum
+from .tree import Position, PositionSet, as_position, hat
 
 SignedLetter = tuple[int, int]
 SignedPosition = tuple[SignedLetter, ...]
@@ -149,15 +154,10 @@ def identity_sum(code: PrefixCode, x: Sequence[int]) -> IdentityReport:
     """
     if not is_prefix_code(code):
         raise ValueError("identity_sum requires a prefix code")
-    k = code.alphabet_size
-    maxlen = code.max_length
-    if len(x) < maxlen:
+    if len(x) < code.max_length:
         raise ValueError("x must cover the longest codeword")
-    q = 2 * k - 1
-    numerator = 0
-    for c in code.words:
-        numerator += 2 ** mismatch_count(c, x) * q ** (maxlen - len(c))
-    total = Fraction(numerator, q**maxlen)
+    q = 2 * code.alphabet_size - 1
+    total = word_sum(code, lambda i, a: Fraction(1 if a == x[i] else 2, q))
     return IdentityReport(total, _verdict(total))
 
 
@@ -175,14 +175,9 @@ def averaged_identity(code: PrefixCode, n: int, budget: int = AVERAGING_BUDGET) 
         raise ValueError("n must be at least the longest codeword")
     if k**n > budget:
         raise ValueError(f"averaging over {k}^{n} sequences exceeds the budget {budget}")
-    import itertools
-
-    total = sum(
-        (identity_sum(code, x).sum for x in itertools.product(range(k), repeat=n)),
-        Fraction(0),
-    )
+    total = sum(identity_sum(code, x).sum for x in itertools.product(range(k), repeat=n))
     averaged = total / k**n
-    kraft = sum((Fraction(1, k ** len(c)) for c in code.words), Fraction(0))
+    kraft = word_sum(code, uniform_weight(k))
     if averaged != kraft:
         raise AssertionError(f"averaged identity {averaged} differs from Kraft sum {kraft}")
     return IdentityReport(kraft, _verdict(kraft))
@@ -211,6 +206,9 @@ class Measure:
             if sum(table.values()) != 1:
                 raise ValueError("weights must sum to exactly 1")
             self.weights = table
+            # inverse-CDF table for ``sample``, accumulated in symbol order
+            self._symbols = sorted(table)
+            self._cdf = list(itertools.accumulate(float(table[s]) for s in self._symbols))
 
     @classmethod
     def uniform(cls, k: int) -> "Measure":
@@ -237,13 +235,8 @@ class Measure:
     def sample(self, u: float) -> int:
         """Inverse-CDF sample from a uniform draw in [0, 1)."""
         if self.weights is not None:
-            acc = 0.0
-            symbols = sorted(self.weights)
-            for symbol in symbols:
-                acc += float(self.weights[symbol])
-                if u < acc:
-                    return symbol
-            return symbols[-1]
+            i = bisect.bisect_right(self._cdf, u)
+            return self._symbols[min(i, len(self._symbols) - 1)]
         n, acc = 1, 0.5
         while u >= acc:
             n += 1
@@ -309,12 +302,7 @@ def measure_criterion(Z: PositionSet, measures: MeasureSpec) -> MeasureCriterion
     the stage measures hits each listed position with exactly the product
     probability, and a winning mover would force total probability 1.
     """
-    total = Fraction(0)
-    for p in Z:
-        term = Fraction(1)
-        for i in range(1, len(p) // 2 + 1):
-            term *= measures.at_stage(i).weight(p[2 * i - 1])
-        total += term
+    total = word_sum(map(hat, Z), lambda i, a: measures.at_stage(i + 1).weight(a))
     return MeasureCriterionReport(total, total < 1)
 
 
@@ -333,17 +321,13 @@ def weighted_identity(
         raise ValueError("weighted_identity requires a prefix code")
     if x is not None and len(x) < code.max_length:
         raise ValueError("x must cover the longest codeword")
-    total = Fraction(0)
-    for c in code.words:
-        term = Fraction(1)
-        if x is None:
-            for symbol in c:
-                term *= measure.weight(symbol)
-        else:
-            term = Fraction(2) ** mismatch_count(c, x)
-            for i, symbol in enumerate(c):
-                term *= measure.weight(symbol) / (2 - measure.weight(x[i]))
-        total += term
+    if x is None:
+        total = word_sum(code, lambda i, a: measure.weight(a))
+    else:
+        total = word_sum(
+            code,
+            lambda i, a: lifted_stage_weight(a, x[i], measure) * (1 if a == x[i] else 2),
+        )
     partial = not measure.finite_support
     return IdentityReport(total, _verdict(total), partial)
 
@@ -389,13 +373,7 @@ def exact_hit_probability(code: PrefixCode, measure: Measure) -> Fraction:
     """
     if not is_prefix_code(code):
         raise ValueError("exact_hit_probability requires a prefix code")
-    total = Fraction(0)
-    for c in code.words:
-        term = Fraction(1)
-        for symbol in c:
-            term *= measure.weight(symbol)
-        total += term
-    return total
+    return word_sum(code, lambda i, a: measure.weight(a))
 
 
 _MASK64 = (1 << 64) - 1

@@ -1,6 +1,9 @@
 """Exact Kraft-type sums and winner criteria for open winning sets.
 
-Every sum in this module is an exact ``fractions.Fraction``; the only
+``word_sum`` is the one exact weighted-sum kernel of the package: the
+Kraft-type sums here, prefix-code maximality in ``codes``, the measure
+criterion and the covering identities in ``covering`` and the minimal-size
+check in ``solver`` all compute their exact sums with it.  The only
 floating-point value is the Moran exponent, which is reported together
 with its residual.  A position of length n carries weight
 k^(-floor(n/2)): the responder moves floor(n/2) times before the position
@@ -12,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
-from .tree import PositionSet
+from .tree import PositionSet, hat
 
 MORAN_RESIDUAL_BOUND = 1e-12
 
@@ -40,8 +44,46 @@ class MoranRoot:
     below_half: bool
 
 
-def half_length_weight(p: tuple[int, ...], k: int) -> Fraction:
-    return Fraction(1, k ** (len(p) // 2))
+def word_sum(
+    words: Iterable[Sequence[int]], weight: Callable[[int, int], Fraction]
+) -> Fraction:
+    """Exact sum over ``words`` (repeats count) of the product of weight(i, w[i]).
+
+    ``weight(i, a)`` is the rational weight of symbol a at 0-based stage i;
+    it is asked once per distinct (stage, symbol) and may raise for a
+    symbol without a weight.  The weights of stage i are put over their
+    least common denominator d_i, a word of length n contributes the
+    integer product of its numerators times d_n * d_(n+1) * ..., and the
+    single Fraction is built from the integer total at the end.
+    """
+    words = list(words)
+    stages: list[dict[int, Fraction]] = []
+    for w in words:
+        for i, a in enumerate(w):
+            if i == len(stages):
+                stages.append({})
+            if a not in stages[i]:
+                stages[i][a] = weight(i, a)
+    denominators = [math.lcm(*[f.denominator for f in s.values()]) for s in stages]
+    numerators = [
+        {a: f.numerator * (d // f.denominator) for a, f in s.items()}
+        for s, d in zip(stages, denominators)
+    ]
+    # scale[n] = d_n * d_(n+1) * ... lifts a length-n word to the common denominator
+    scale = [1]
+    for d in reversed(denominators):
+        scale.append(scale[-1] * d)
+    scale.reverse()
+    total = sum(
+        math.prod(map(dict.__getitem__, numerators, w), start=scale[len(w)]) for w in words
+    )
+    return Fraction(total, scale[0])
+
+
+def uniform_weight(k: int) -> Callable[[int, int], Fraction]:
+    """Weight 1/k for every symbol at every stage."""
+    w = Fraction(1, k)
+    return lambda i, a: w
 
 
 def is_geometric_ladder(zset: PositionSet) -> bool:
@@ -68,7 +110,7 @@ def kraft_sum(Z: PositionSet, k: int) -> Fraction:
     """
     if Z.infinite_family and is_geometric_ladder(Z):
         return Fraction(1, k - 1)
-    return sum((half_length_weight(p, k) for p in Z), Fraction(0))
+    return word_sum(map(hat, Z), uniform_weight(k))
 
 
 def is_minimal_size(Z: PositionSet, k: int) -> bool:
@@ -107,14 +149,12 @@ def subtree_criterion(Z: PositionSet, k: int, n: int) -> Fraction:
         raise ValueError(f"subtree level n={n} out of range")
     if not Z.positions:
         return Fraction(0)
-    scale = Fraction(k ** (n // 2))
-    best = Fraction(0)
-    for root in {p[:n] for p in Z}:
-        total = sum(
-            (half_length_weight(p, k) for p in Z if p[:n] == root), Fraction(0)
-        )
-        best = max(best, scale * total)
-    return best
+    scale = k ** (n // 2)
+    uniform = uniform_weight(k)
+    return max(
+        scale * word_sum((hat(p) for p in Z if p[:n] == root), uniform)
+        for root in {p[:n] for p in Z}
+    )
 
 
 def _finite_length_counts(Z: PositionSet) -> list[tuple[int, int]]:
@@ -159,7 +199,7 @@ def moran_dimension(Z: PositionSet, k: int) -> MoranRoot:
         # exact endpoints: the sum at d=0 is |Z|, at d=1 the plain Kraft sum
         if len(Z) == 1:
             return MoranRoot(0.0, 0.0, below_half)
-        if sum(Fraction(1, k ** length) * c for length, c in counts) == 1:
+        if word_sum(Z, uniform_weight(k)) == 1:
             return MoranRoot(1.0, 0.0, below_half)
 
         def power_sum(d: float) -> float:

@@ -60,7 +60,8 @@ def _int_arrays(path: str | Path, value: Any, field: str) -> list[tuple[int, ...
         raise _fail(path, f"{field!r} must be a list of integer arrays")
     out = []
     for i, item in enumerate(value):
-        if not isinstance(item, list) or not all(isinstance(a, int) and a >= 0 for a in item):
+        # type(a) is int: JSON true/false parse to bool, a subclass of int
+        if not isinstance(item, list) or not all(type(a) is int and a >= 0 for a in item):
             raise _fail(path, f"{field}[{i}] must be an array of nonnegative integers")
         out.append(tuple(item))
     return out
@@ -122,7 +123,7 @@ def code_to_json(code: PrefixCode) -> str:
             "kind": "code",
             "schema_version": SCHEMA_VERSION,
             "alphabet_size": code.alphabet_size,
-            "words": [list(w) for w in code.sorted_words()],
+            "words": [list(w) for w in code.sorted_positions()],
         }
     )
 
@@ -135,7 +136,7 @@ def load_xvector(path: str | Path, alphabet_size: int | None = None) -> XVector:
     _check_envelope(path, data, "xvector")
     if "bits" in data:
         bits = data["bits"]
-        if not isinstance(bits, list) or not all(b in (0, 1) for b in bits):
+        if not isinstance(bits, list) or not all(type(b) is int and b in (0, 1) for b in bits):
             raise _fail(path, "'bits' must be a list of 0/1")
         return XVector.from_bits(bits)
     entries = data.get("entries")

@@ -10,10 +10,9 @@ independent oracle.  All operations are pure; memoization is per call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .criteria import is_geometric_ladder, kraft_sum
-from .tree import Position, PositionSet, is_prefix, normalize_even
+from .criteria import is_geometric_ladder, kraft_sum, uniform_weight, word_sum
+from .tree import Position, PositionSet, hat, is_prefix, normalize_even
 
 DEFAULT_BUDGET = 1 << 22
 
@@ -289,7 +288,7 @@ def extract_minimal_size(game: GameInstance, budget: int = DEFAULT_BUDGET) -> Po
         return out
 
     chosen = collect(())
-    total = sum((Fraction(1, k ** (len(p) // 2)) for p in chosen), Fraction(0))
+    total = word_sum(map(hat, chosen), uniform_weight(k))
     if total != 1:
         raise AssertionError(f"minimal-size extraction produced sum {total}")
     return PositionSet(chosen)

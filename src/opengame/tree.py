@@ -8,28 +8,10 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 Position = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite action alphabet of size ``size``, symbols 0..size-1."""
-
-    size: int
-    names: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.size}")
-        if self.names is not None and len(self.names) != self.size:
-            raise ValueError("display names must match the alphabet size")
-
-    def symbols(self) -> range:
-        return range(self.size)
 
 
 def as_position(seq: Iterable[int]) -> Position:
@@ -55,6 +37,9 @@ def hat(p: Position) -> Position:
 
 class PositionSet:
     """Finite set of positions generating an open winning set.
+
+    The package's one word-set type: ``codes.PrefixCode`` is this set with
+    an alphabet size, and its prefix-free test is ``antichain``.
 
     ``infinite_family`` declares that the listed positions are a truncation
     of an infinite family; all computations treat the listed positions as
@@ -109,12 +94,7 @@ class PositionSet:
 
     def __repr__(self) -> str:
         flag = ", infinite_family=True" if self.infinite_family else ""
-        return f"PositionSet({self.sorted_positions()!r}{flag})"
-
-
-def antichain_check(zset: PositionSet) -> bool:
-    """Cached antichain predicate: no element is a proper prefix of another."""
-    return zset.antichain
+        return f"{type(self).__name__}({self.sorted_positions()!r}{flag})"
 
 
 def normalize_even(zset: PositionSet, k: int) -> PositionSet:

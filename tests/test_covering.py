@@ -310,3 +310,15 @@ def test_monte_carlo_deterministic_given_seed():
 def test_exact_hit_probability_geometric():
     code = PrefixCode.of([(1,), (2,)], 3)
     assert exact_hit_probability(code, Measure.geometric2()) == Fraction(3, 4)
+
+
+def test_monte_carlo_empirical_is_pinned():
+    # the inverse-CDF table must reproduce every draw bit for bit
+    skew = Measure(weights={0: Fraction(1, 6), 1: Fraction(1, 2), 2: Fraction(1, 3)})
+    code = PrefixCode.of([(0,), (1, 0), (1, 1), (2, 2, 1)], 3)
+    report = monte_carlo_hit(code, None, skew, 4000, 20260810)
+    assert (report.empirical, report.exact) == (0.558, Fraction(5, 9))
+
+    code = PrefixCode.of([(1,), (2, 1), (2, 3), (3, 3, 1)], 4)
+    report = monte_carlo_hit(code, None, Measure.geometric2(), 4000, 20260810)
+    assert (report.empirical, report.exact) == (0.67475, Fraction(85, 128))

@@ -1,7 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from opengame.codes import PrefixCode
+from opengame.covering import (
+    Measure,
+    MeasureSpec,
+    exact_hit_probability,
+    measure_criterion,
+    weighted_identity,
+)
 from opengame.criteria import (
     is_geometric_ladder,
     is_minimal_size,
@@ -9,6 +19,7 @@ from opengame.criteria import (
     moran_dimension,
     p2_certificate,
     subtree_criterion,
+    word_sum,
 )
 from opengame.suite import enumerate_antichain_codes, geometric_ladder
 from opengame.tree import PositionSet, normalize_even
@@ -109,3 +120,65 @@ def test_moran_rejects_bad_input():
         moran_dimension(PositionSet([(0,)]), 2)
     with pytest.raises(ValueError):
         moran_dimension(PositionSet([()]), 2)  # constant term, no unique root
+
+
+DEPTH = 6
+SYMBOLS = 4
+words_of = lambda k: st.lists(st.lists(st.integers(0, k - 1), max_size=DEPTH).map(tuple), max_size=12)
+rationals = st.fractions(min_value=Fraction(1, 60), max_value=2, max_denominator=60)
+
+
+@st.composite
+def stage_weights(draw):
+    """A per-stage weight: uniform, skewed finite, geometric, or doubled on mismatches."""
+    kind = draw(st.sampled_from(["uniform", "skewed", "geometric", "doubled"]))
+    if kind == "uniform":
+        w = Fraction(1, draw(st.integers(2, 7)))
+        return lambda i, a: w
+    if kind == "geometric":
+        return lambda i, a: Fraction(1, 2 ** (a + 1))
+    rows = st.lists(rationals, min_size=SYMBOLS, max_size=SYMBOLS)
+    table = draw(st.lists(rows, min_size=DEPTH, max_size=DEPTH))
+    if kind == "skewed":
+        return lambda i, a: table[i][a]
+    x = draw(st.lists(st.integers(0, SYMBOLS - 1), min_size=DEPTH, max_size=DEPTH))
+    return lambda i, a: table[i][a] * (1 if a == x[i] else 2)
+
+
+def prefix_free(words):
+    elems = set(words)
+    return [w for w in elems if not any(w[:j] in elems for j in range(len(w)))]
+
+
+@given(words_of(SYMBOLS), stage_weights())
+def test_word_sum_matches_the_plain_fraction_sum(words, weight):
+    expected = sum(
+        (math.prod((weight(i, a) for i, a in enumerate(w)), start=Fraction(1)) for w in words),
+        Fraction(0),
+    )
+    assert word_sum(words, weight) == expected
+
+
+@given(st.integers(2, SYMBOLS).flatmap(lambda k: st.tuples(st.just(k), words_of(k))))
+def test_kraft_sum_is_the_uniform_measure_criterion(case):
+    k, words = case
+    z = PositionSet(words)
+    assert kraft_sum(z, k) == measure_criterion(z, MeasureSpec.uniform(k)).sum
+
+
+@given(
+    st.integers(2, SYMBOLS).flatmap(
+        lambda k: st.tuples(
+            words_of(k), st.lists(st.integers(1, 9), min_size=k, max_size=k), st.booleans()
+        )
+    )
+)
+def test_exact_hit_probability_is_the_plain_weighted_identity(case):
+    words, raw, geometric = case
+    if geometric:
+        code = PrefixCode.of([tuple(a + 1 for a in w) for w in prefix_free(words)], len(raw) + 1)
+        mu = Measure.geometric2()
+    else:
+        code = PrefixCode.of(prefix_free(words), len(raw))
+        mu = Measure(weights={a: Fraction(r, sum(raw)) for a, r in enumerate(raw)})
+    assert exact_hit_probability(code, mu) == weighted_identity(code, None, mu).sum

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from opengame import files
+from opengame import cli
 from opengame.cli import main
 from opengame.codes import PrefixCode, XVector
 from opengame.covering import Measure, MeasureSpec
@@ -240,3 +241,36 @@ def test_cli_env_budget(game_file):
     )
     assert proc.returncode == 2
     assert "budget" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("game", {"alphabet_size": 2, "positions": [[True, False], [False, True]]}),
+        ("xvector", {"bits": [True, False]}),
+    ],
+)
+def test_json_booleans_are_not_symbols(tmp_path, game_file, capsys, kind, payload):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"kind": kind, **payload}))
+    load = files.load_game if kind == "game" else files.load_xvector
+    with pytest.raises(files.FileFormatError, match=f"{kind}.json"):
+        load(path)
+    argv = ["solve", str(path)] if kind == "game" else ["codes", "cx", game_file, "--x", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{kind}.json" in captured.err
+
+
+def test_cli_internal_failure_exit_code(game_file, monkeypatch, capsys):
+    def broken(args):
+        raise AssertionError("routes disagree")
+
+    monkeypatch.setattr(cli, "_cmd_solve", broken)
+    assert main(["solve", game_file]) == cli.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "AssertionError: routes disagree",
+        "kind": "internal",
+    }

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opengame.tree import (
-    Alphabet,
     PositionSet,
-    antichain_check,
     concat_prefix_member,
     hat,
     is_prefix,
@@ -14,12 +12,6 @@ from opengame.tree import (
 )
 
 positions = st.lists(st.integers(0, 2), max_size=8).map(tuple)
-
-
-def test_alphabet_rejects_size_one():
-    with pytest.raises(ValueError):
-        Alphabet(1)
-    assert list(Alphabet(3).symbols()) == [0, 1, 2]
 
 
 def test_is_prefix_examples():
@@ -40,9 +32,9 @@ def test_is_prefix_antisymmetry(p, q):
 
 
 def test_antichain_examples():
-    assert antichain_check(PositionSet([(0, 0), (0, 1)]))
-    assert not antichain_check(PositionSet([(0,), (0, 1)]))
-    assert antichain_check(PositionSet([]))
+    assert PositionSet([(0, 0), (0, 1)]).antichain
+    assert not PositionSet([(0,), (0, 1)]).antichain
+    assert PositionSet([]).antichain
 
 
 def test_normalize_even_examples():
