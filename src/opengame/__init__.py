@@ -68,8 +68,7 @@ from .solver import (
     consistent_positions,
     extract_minimal_size,
     solve,
-    verify_p1_strategy,
-    verify_p2_strategy,
+    verify_strategy,
 )
 from .tree import (
     Position,

@@ -3,11 +3,11 @@
 Every subcommand reads JSON instance files (or inline generator strings),
 routes to the corresponding module operation, and prints a JSON report
 with exact rationals rendered as "numerator/denominator" strings.  Exit
-status: 0 success, 1 a checked property was violated, 2 usage or file
-errors, 3 an internal failure (an assertion, arithmetic or recursion
-error inside the program), reported as one JSON line on stderr.  The
-environment variable OPENGAME_BUDGET caps node counts when --budget is
-not given.
+status: 0 success, 1 a checked property was violated, 2 usage, file or
+budget errors, 3 any other exception inside a command; exits 2 and 3
+print one JSON line {"error": ..., "kind": "usage" | "internal"} on
+stderr.  The environment variable OPENGAME_BUDGET caps the nodes the
+solver visits when --budget is not given.
 """
 
 from __future__ import annotations
@@ -364,9 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (files.FileFormatError, BudgetExceededError, BudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return EXIT_USAGE
-    except (AssertionError, ArithmeticError, RecursionError) as exc:
+    except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         print(json.dumps({"error": error, "kind": "internal"}), file=sys.stderr)
         return EXIT_INTERNAL

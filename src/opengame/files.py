@@ -138,6 +138,8 @@ def load_xvector(path: str | Path, alphabet_size: int | None = None) -> XVector:
         bits = data["bits"]
         if not isinstance(bits, list) or not all(type(b) is int and b in (0, 1) for b in bits):
             raise _fail(path, "'bits' must be a list of 0/1")
+        if alphabet_size not in (None, 2):
+            raise _fail(path, f"'bits' is binary shorthand, alphabet size is {alphabet_size}")
         return XVector.from_bits(bits)
     entries = data.get("entries")
     if entries is None:

@@ -1,10 +1,16 @@
 """Exact winner determination for full-tree games with finite open winning sets.
 
-Backward induction over the depth-D full k-ary tree: a node extending an
-element of Z is a win for Player 1, a depth-D node otherwise is a win for
-Player 2, even-length nodes take OR over children and odd-length nodes
-take AND.  A deliberately dumb unmemoized minimax serves as an
-independent oracle.  All operations are pure; memoization is per call.
+A node that is not a prefix of an element of Z can never reach Z, so the
+responder wins there and the winner is decided on the finite trie of
+prefixes of the even-normalized Z.  Induction evaluates that trie deepest
+first: an element of Z is a mover win, a child off the trie a responder
+win, even-length nodes take OR over their k children and odd-length nodes
+AND.  One walker then plays the winner's smallest winning symbol against
+every reply down to depth D; it yields the winning strategy, its
+uniqueness and the elements of Z the plays reach.  Budgets count the
+trie's nodes and the nodes the walker visits.  A deliberately dumb
+unmemoized minimax over all k^D leaves serves as an independent oracle.
+All operations are pure and, apart from that oracle, iterative.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ TRUNCATION_WARNING = (
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when the k^D node budget would be exceeded."""
+    """Raised when a computation would visit more nodes than its budget."""
 
 
 class StrategyError(KeyError):
@@ -139,76 +145,70 @@ def _check_budget(k: int, depth: int, budget: int) -> None:
 
 
 class _Induction:
-    """Memoized backward induction over one game instance."""
+    """Backward induction over the trie of prefixes of the normalized Z."""
 
-    def __init__(self, game: GameInstance):
+    def __init__(self, game: GameInstance, budget: int):
         self.k = game.k
         self.depth = game.depth
         self.zt = game.zset.positions
-        self.memo: dict[Position, bool] = {}
-        self.counts: dict[Position, int] = {}
+        trie: set[Position] = set()
+        for z in self.zt:
+            for n in range(len(z), -1, -1):
+                if (q := z[:n]) in trie:
+                    break
+                trie.add(q)
+        if len(trie) > budget:
+            raise BudgetExceededError(f"the trie of Z has {len(trie)} nodes, budget is {budget}")
+        self.win: dict[Position, bool] = {}
+        self.counts: dict[Position, int] = {}  # winning children of even non-Z nodes
+        for p in sorted(trie, key=len, reverse=True):
+            if p in self.zt:
+                self.win[p] = True
+                continue
+            children = [self.wins(p + (a,)) for a in range(self.k)]
+            if len(p) % 2 == 0:
+                self.counts[p] = sum(children)
+                self.win[p] = self.counts[p] > 0
+            else:
+                self.win[p] = all(children)
 
-    def p1_wins(self, p: Position) -> bool:
-        n = len(p)
-        if n % 2 == 0 and p in self.zt:
-            return True
-        if n == self.depth:
-            return False
-        cached = self.memo.get(p)
-        if cached is not None:
-            return cached
-        if n % 2 == 0:
-            results = [self.p1_wins(p + (a,)) for a in range(self.k)]
-            self.counts[p] = sum(results)
-            result = any(results)
-        else:
-            result = all(self.p1_wins(p + (a,)) for a in range(self.k))
-        self.memo[p] = result
-        return result
+    def wins(self, p: Position) -> bool:
+        """Whether Player 1 wins from p; off the trie Player 2 does."""
+        return self.win.get(p, False)
 
 
-def _extract_p1_strategy(ind: _Induction) -> tuple[Strategy, bool]:
-    """Explicit winning strategy (smallest winning symbol) and uniqueness.
+def _walk(
+    ind: _Induction, player: int, budget: int
+) -> tuple[dict[Position, int], bool, set[Position]]:
+    """Play the winner's smallest winning symbol against every reply.
 
-    Uniqueness holds iff every even node reachable under the winning play
-    offers exactly one winning action.
+    Returns the winner's explicit table, whether each of Player 1's moves
+    was its only winning symbol (always False for Player 2), and the
+    elements of Z the plays reach.  Player 2's table runs down to depth D
+    off the trie too, so it is total on every play consistent with it.
     """
     table: dict[Position, int] = {}
-    unique = True
+    unique = player == 1
+    reached: set[Position] = set()
     stack: list[Position] = [()]
+    visited = 0
     while stack:
         p = stack.pop()
-        if len(p) % 2 == 0 and p in ind.zt:
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError(f"the strategy walk visits more than {budget} nodes")
+        if p in ind.zt:
+            reached.add(p)
+        elif len(p) == ind.depth:
             continue
-        if len(p) == ind.depth:
-            continue
-        if len(p) % 2 == 0:
-            winning = [a for a in range(ind.k) if ind.p1_wins(p + (a,))]
-            if len(winning) != 1:
-                unique = False
-            move = winning[0]
+        elif len(p) % 2 == player - 1:
+            unique = unique and ind.counts[p] == 1
+            move = next(a for a in range(ind.k) if ind.wins(p + (a,)) == (player == 1))
             table[p] = move
             stack.append(p + (move,))
         else:
             stack.extend(p + (a,) for a in range(ind.k))
-    return Strategy.explicit(table, player=1), unique
-
-
-def _extract_p2_strategy(ind: _Induction) -> Strategy:
-    table: dict[Position, int] = {}
-    stack: list[Position] = [()]
-    while stack:
-        p = stack.pop()
-        if len(p) == ind.depth:
-            continue
-        if len(p) % 2 == 0:
-            stack.extend(p + (a,) for a in range(ind.k))
-        else:
-            losing = [a for a in range(ind.k) if not ind.p1_wins(p + (a,))]
-            move = losing[0]
-            table[p] = move
-            stack.append(p + (move,))
-    return Strategy.explicit(table, player=2)
+    return table, unique, reached
 
 
 def solve(game: GameInstance, budget: int = DEFAULT_BUDGET) -> SolveReport:
@@ -229,19 +229,14 @@ def solve(game: GameInstance, budget: int = DEFAULT_BUDGET) -> SolveReport:
                 certificate=INFINITE_FAMILY_CERTIFICATE,
             )
         warning = TRUNCATION_WARNING
-    _check_budget(game.k, game.depth, budget)
-    ind = _Induction(game)
-    if ind.p1_wins(()):
-        strategy, unique = _extract_p1_strategy(ind)
-        winner = 1
-    else:
-        strategy, unique = _extract_p2_strategy(ind), False
-        winner = 2
+    ind = _Induction(game, budget)
+    winner = 1 if ind.wins(()) else 2
+    table, unique, _ = _walk(ind, winner, budget)
     return SolveReport(
         winner=winner,
-        strategy=strategy,
+        strategy=Strategy.explicit(table, player=winner),
         unique_p1_strategy=unique,
-        winning_action_counts=dict(ind.counts),
+        winning_action_counts=ind.counts,
         warning=warning,
     )
 
@@ -268,27 +263,15 @@ def brute_force_oracle(game: GameInstance, budget: int = DEFAULT_BUDGET) -> int:
 def extract_minimal_size(game: GameInstance, budget: int = DEFAULT_BUDGET) -> PositionSet:
     """Subset of Z with exact sum 1 on which Player 1 still wins.
 
-    Recursion: at a winning even node pick the smallest winning move a0,
-    recurse in every two-step subtree below it, and take the union; a node
-    that is itself in Z contributes exactly itself.
+    The elements of Z that the mover's winning walk reaches: at each
+    winning even node it plays the smallest winning symbol a0 and meets
+    every reply, and a node in Z contributes exactly itself.
     """
-    _check_budget(game.k, game.depth, budget)
-    ind = _Induction(game)
-    if not ind.p1_wins(()):
+    ind = _Induction(game, budget)
+    if not ind.wins(()):
         raise ValueError("extract_minimal_size requires a Player-1 win")
-    k = game.k
-
-    def collect(p: Position) -> set[Position]:
-        if p in ind.zt:
-            return {p}
-        a0 = min(a for a in range(k) if ind.p1_wins(p + (a,)))
-        out: set[Position] = set()
-        for a in range(k):
-            out |= collect(p + (a0, a))
-        return out
-
-    chosen = collect(())
-    total = word_sum(map(hat, chosen), uniform_weight(k))
+    _, _, chosen = _walk(ind, 1, budget)
+    total = word_sum(map(hat, chosen), uniform_weight(game.k))
     if total != 1:
         raise AssertionError(f"minimal-size extraction produced sum {total}")
     return PositionSet(chosen)
@@ -305,39 +288,28 @@ def consistent_positions(Z: PositionSet, s1: Strategy) -> PositionSet:
     return PositionSet(out)
 
 
-def verify_p1_strategy(game: GameInstance, s1: Strategy) -> bool:
-    """Exhaustively check that every play consistent with s1 hits Z by depth D."""
-    zt = game.zset.positions
+def verify_strategy(game: GameInstance, s: Strategy) -> bool:
+    """Exhaustively check that s wins every play consistent with it.
 
-    def run(p: Position) -> bool:
-        if len(p) % 2 == 0 and p in zt:
-            return True
-        if len(p) == game.depth:
-            return False
-        if len(p) % 2 == 0:
+    Player 1 wins a play that reaches Z by depth D; Player 2 wins one that
+    never does; a missing or out-of-alphabet move loses.  Walks the full
+    tree, independently of the induction.
+    """
+    zt = game.zset.positions
+    stack: list[Position] = [()]
+    while stack:
+        p = stack.pop()
+        if p in zt or len(p) == game.depth:
+            if (p in zt) != (s.player == 1):
+                return False
+        elif len(p) % 2 == s.player - 1:
             try:
-                return run(p + (s1.move(p),))
+                move = s.move(p)
             except StrategyError:
                 return False
-        return all(run(p + (a,)) for a in range(game.k))
-
-    return run(())
-
-
-def verify_p2_strategy(game: GameInstance, s2: Strategy) -> bool:
-    """Exhaustively check that no play consistent with s2 ever hits Z."""
-    zt = game.zset.positions
-
-    def run(p: Position) -> bool:
-        if len(p) % 2 == 0 and p in zt:
-            return False
-        if len(p) == game.depth:
-            return True
-        if len(p) % 2 == 1:
-            try:
-                return run(p + (s2.move(p),))
-            except StrategyError:
+            if move not in range(game.k):
                 return False
-        return all(run(p + (a,)) for a in range(game.k))
-
-    return run(())
+            stack.append(p + (move,))
+        else:
+            stack.extend(p + (a,) for a in range(game.k))
+    return True

@@ -205,10 +205,14 @@ def test_cli_usage_errors(tmp_path, game_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["solve", str(bad)]) == 2
-    assert "bad.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad.json" in err
+    assert json.loads(err)["kind"] == "usage"
 
     assert main(["solve", game_file, "--budget", "1"]) == 2
-    assert "budget" in capsys.readouterr().err.lower()
+    err = capsys.readouterr().err
+    assert "budget" in err.lower()
+    assert json.loads(err)["kind"] == "usage"
 
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
@@ -260,6 +264,27 @@ def test_json_booleans_are_not_symbols(tmp_path, game_file, capsys, kind, payloa
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"{kind}.json" in captured.err
+    assert json.loads(captured.err)["kind"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        [[2, 0], [2, 1], [2, 2]],  # mover symbol 2 has no bit
+        [[0, 0], [1, 2]],  # mover symbols 0 and 1 only
+    ],
+)
+def test_bits_shorthand_needs_a_binary_game(tmp_path, capsys, positions):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({"kind": "game", "alphabet_size": 3, "positions": positions}))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"kind": "xvector", "bits": [1]}))
+    with pytest.raises(files.FileFormatError, match="x.json"):
+        files.load_xvector(x, alphabet_size=3)
+    assert main(["codes", "cx", str(game), "--x", str(x)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "usage"
 
 
 def test_cli_internal_failure_exit_code(game_file, monkeypatch, capsys):
@@ -272,5 +297,19 @@ def test_cli_internal_failure_exit_code(game_file, monkeypatch, capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "AssertionError: routes disagree",
+        "kind": "internal",
+    }
+
+
+def test_cli_uncaught_exception_is_internal(game_file, monkeypatch, capsys):
+    def broken(args):
+        raise IndexError("tuple index out of range")
+
+    monkeypatch.setattr(cli, "_cmd_solve", broken)
+    assert main(["solve", game_file]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "IndexError: tuple index out of range",
         "kind": "internal",
     }

@@ -6,6 +6,7 @@ import pytest
 
 from opengame.criteria import kraft_sum
 from opengame.solver import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     GameInstance,
     Strategy,
@@ -14,11 +15,10 @@ from opengame.solver import (
     consistent_positions,
     extract_minimal_size,
     solve,
-    verify_p1_strategy,
-    verify_p2_strategy,
+    verify_strategy,
 )
 from opengame.suite import geometric_ladder, random_even_antichain
-from opengame.tree import PositionSet
+from opengame.tree import PositionSet, is_prefix
 
 
 def test_solve_examples():
@@ -38,7 +38,7 @@ def test_solve_ladder_truncations_are_responder_wins():
         report = solve(GameInstance(2, z))
         assert report.winner == 2
         assert report.certificate is None
-        assert verify_p2_strategy(GameInstance(2, z), report.strategy)
+        assert verify_strategy(GameInstance(2, z), report.strategy)
 
 
 def test_solve_flagged_family_short_circuits():
@@ -106,6 +106,52 @@ def test_budget_guard():
         solve(GameInstance(2, z), budget=1 << 10)
     with pytest.raises(BudgetExceededError):
         brute_force_oracle(GameInstance(2, z), budget=1 << 10)
+    # a mover win whose walk is short: the trie of Z itself is what is counted
+    full = GameInstance(2, PositionSet(itertools.product((0, 1), repeat=4)))
+    assert solve(full, budget=31).winner == 1
+    with pytest.raises(BudgetExceededError):
+        solve(full, budget=30)
+    with pytest.raises(BudgetExceededError):
+        extract_minimal_size(full, budget=30)
+
+
+def _comb(n: int) -> PositionSet:
+    """The maximal code 1, 01, ..., 0^(n-1)1, 0^n, interleaved with responder 0s."""
+    code = [(0,) * i + (1,) for i in range(n)] + [(0,) * n]
+    return PositionSet(tuple(x for c in w for x in (0, c)) for w in code)
+
+
+def test_deep_comb_solves_without_recursion():
+    z = _comb(200)
+    game = GameInstance(2, z)
+    assert game.depth == 400 and len(z.positions) == 201
+    report = solve(game, budget=DEFAULT_BUDGET)
+    assert report.winner == 1
+    assert verify_strategy(game, report.strategy)
+    assert extract_minimal_size(game).positions == z.positions
+
+
+def _mover_wins(zs: list, depth: int, k: int, p: tuple) -> bool:
+    """Unmemoized minimax over the full tree below p."""
+    if any(is_prefix(z, p) for z in zs):
+        return True
+    if len(p) >= depth:
+        return False
+    results = [_mover_wins(zs, depth, k, p + (a,)) for a in range(k)]
+    return any(results) if len(p) % 2 == 0 else all(results)
+
+
+def test_winning_action_counts_cover_the_even_trie_nodes():
+    rng = random.Random(271828)
+    for _ in range(60):
+        k = rng.choice((2, 3))
+        game = GameInstance(k, random_even_antichain(rng, k, rng.choice((2, 4, 6))))
+        zs = sorted(game.zset.positions)
+        even_prefixes = {z[:i] for z in zs for i in range(0, len(z), 2)}
+        counts = solve(game).winning_action_counts
+        assert set(counts) == even_prefixes
+        for p, c in counts.items():
+            assert c == sum(_mover_wins(zs, game.depth, k, p + (a,)) for a in range(k))
 
 
 def _subset_extraction_oracle(zset: PositionSet, k: int) -> list[frozenset]:
@@ -163,7 +209,15 @@ def test_winner_one_strategies_verify():
         game = GameInstance(2, z)
         report = solve(game)
         assert report.winner == 1
-        assert verify_p1_strategy(game, report.strategy)
+        assert verify_strategy(game, report.strategy)
+
+
+def test_verify_strategy_rejects_illegal_and_missing_moves():
+    game = GameInstance(2, PositionSet([(0, 0)]))
+    assert verify_strategy(game, Strategy.explicit({(0,): 1, (1,): 0}, player=2))
+    # symbol 2 is off a binary tree: the play it names never happens
+    assert not verify_strategy(game, Strategy.explicit({(0,): 2, (1,): 0}, player=2))
+    assert not verify_strategy(game, Strategy.explicit({(0,): 1}, player=2))
 
 
 def test_extracted_strategies_verify_on_random_instances():
@@ -175,10 +229,10 @@ def test_extracted_strategies_verify_on_random_instances():
         report = solve(game)
         if report.winner == 1:
             verified_p1 += 1
-            assert verify_p1_strategy(game, report.strategy)
+            assert verify_strategy(game, report.strategy)
         else:
             verified_p2 += 1
-            assert verify_p2_strategy(game, report.strategy)
+            assert verify_strategy(game, report.strategy)
 
 
 def test_consistent_positions():
