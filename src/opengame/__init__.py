@@ -12,8 +12,6 @@ from .codes import (
     PrefixCode,
     XVector,
     build_Z_from_code,
-    cx_code,
-    cx_encode,
     equivalence_check,
     extract_generating_subset,
     history_code,

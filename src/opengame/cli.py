@@ -6,8 +6,12 @@ with exact rationals rendered as "numerator/denominator" strings.  Exit
 status: 0 success, 1 a checked property was violated, 2 usage, file or
 budget errors, 3 any other exception inside a command; exits 2 and 3
 print one JSON line {"error": ..., "kind": "usage" | "internal"} on
-stderr.  The environment variable OPENGAME_BUDGET caps the nodes the
-solver visits when --budget is not given.
+stderr.  ``codes equiv`` checks the winner/maximality equivalence over
+every history mixer, where it is a theorem, so exit 1 there flags a
+defect; with ``--per-stage`` it enumerates the normalized per-stage
+vectors instead and exits 1 where only their converse fails.  The
+environment variable OPENGAME_BUDGET caps the nodes the solver visits
+when --budget is not given.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from . import files
 from .codes import (
     BudgetError,
     PrefixCode,
-    cx_code,
     equivalence_check,
+    history_code,
+    history_equivalence_check,
     is_bifix_code,
     is_maximal,
     is_prefix_code,
@@ -152,7 +157,7 @@ def _cmd_codes_check(args: argparse.Namespace) -> int:
 def _cmd_codes_cx(args: argparse.Namespace) -> int:
     k, zset = files.load_game(args.instance)
     vector = files.load_xvector(args.x, alphabet_size=k)
-    image = cx_code(zset, vector, k)
+    image = history_code(zset, vector.as_mixer(zset), k)
     prefix_free = is_prefix_code(image)
     payload = {
         "alphabet_size": k,
@@ -166,7 +171,8 @@ def _cmd_codes_cx(args: argparse.Namespace) -> int:
 
 def _cmd_codes_equiv(args: argparse.Namespace) -> int:
     k, zset = files.load_game(args.instance)
-    report = equivalence_check(zset, k, full=args.full_mk)
+    check = equivalence_check if args.per_stage else history_equivalence_check
+    report = check(zset, k)
     _emit(report.to_json_dict())
     return EXIT_OK if report.equiv_holds else EXIT_VIOLATION
 
@@ -303,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_codes_cx)
     p = codes_sub.add_parser("equiv", help="winner vs maximal-image equivalence")
     p.add_argument("instance")
-    p.add_argument("--full-mk", action="store_true", help="enumerate unnormalized vectors")
+    p.add_argument(
+        "--per-stage",
+        action="store_true",
+        help="per-stage vectors only, whose converse can fail",
+    )
     p.set_defaults(func=_cmd_codes_equiv)
 
     p = sub.add_parser("fold", help="fold generator words into the core graph")

@@ -1,22 +1,23 @@
-"""Prefix codes, maximality, and the two-move block encodings.
+"""Prefix codes, maximality, and the two-move block encoding.
 
 A code is a finite set of words over symbols 0..k-1.  Maximality is
 decided by two independent routes that must agree: the exact Kraft sum
 and tree completeness.  The block encoding collapses each (mover,
-responder) pair of a position into one symbol via a mixing function,
-either per-stage (``XVector``) or on the whole play history
-(``HistoryMixer``); positions consistent with different mover strategies
-collapse to equal words, which is what breaks maximality of the image.
-Over history mixers the mover wins a minimal-size game iff every image is
-a maximal prefix code; over per-stage mixers only the forward direction
-holds.
+responder) pair of a position into one symbol via a mixer on the play
+history (``HistoryMixer``); a per-stage mixing vector (``XVector``) is
+the special case that reads only the stage and the mover's last symbol,
+and enters the encoding through ``XVector.as_mixer``.  Positions
+consistent with different mover strategies collapse to equal words,
+which is what breaks maximality of the image.  Over history mixers the
+mover wins a minimal-size game iff every image is a maximal prefix code;
+over per-stage vectors only the forward direction holds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from .criteria import is_minimal_size, uniform_weight, word_sum
 from .solver import DEFAULT_BUDGET, GameInstance, Strategy, solve
@@ -109,13 +110,14 @@ def is_maximal(code: PrefixCode) -> bool:
 
 
 class XVector:
-    """Per-stage symbol mixers for the block encoding.
+    """Per-stage symbol mixers: the mixing-vector file format.
 
     Coordinate i is a function on symbols given as a lookup table; the
-    encoded symbol of block i is entries[i][mover] + responder (mod k).
-    The normalized form fixes entry(0) = 0; the full function space is
-    used only for cross-validation.  That normalization does not carry over
-    to ``HistoryMixer``: there it drops images and leaves converse
+    encoded symbol of block i is entries[i][mover] + responder (mod k),
+    which is the history mixer ``as_mixer`` returns.  The normalized form
+    fixes entry(0) = 0; the full function space is used only for
+    cross-validation.  That normalization does not carry over to
+    ``HistoryMixer``: there it drops images and leaves converse
     counterexamples to the equivalence.
     """
 
@@ -142,18 +144,20 @@ class XVector:
     def depth(self) -> int:
         return len(self.entries)
 
-    @property
-    def is_normalized(self) -> bool:
-        return all(e[0] == 0 for e in self.entries)
-
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "XVector":
         """Binary shorthand: bit b is the table (0, b)."""
         return cls(tuple((0, int(b)) for b in bits), alphabet_size=2)
 
-    @classmethod
-    def zero(cls, depth: int, alphabet_size: int) -> "XVector":
-        return cls(((0,) * alphabet_size,) * depth, alphabet_size=alphabet_size)
+    def as_mixer(self, Z: PositionSet) -> "HistoryMixer":
+        """The history mixer h -> x_{|h|//2}(h[-1]) on the histories of Z."""
+        for p in Z:
+            if len(p) // 2 > self.depth:
+                raise ValueError(f"vector depth {self.depth} too small for {len(p) // 2} blocks")
+        return HistoryMixer(
+            {h: self.entries[len(h) // 2][h[-1]] for h in mixer_histories(Z)},
+            self.alphabet_size,
+        )
 
     def to_json_dict(self) -> dict:
         return {"depth": self.depth, "entries": [list(e) for e in self.entries]}
@@ -165,9 +169,6 @@ class XVector:
 
     def __hash__(self) -> int:
         return hash((self.entries, self.alphabet_size))
-
-    def __repr__(self) -> str:
-        return f"XVector({self.entries!r})"
 
 
 @dataclass
@@ -198,19 +199,6 @@ class HistoryMixer:
             "alphabet_size": self.alphabet_size,
             "table": [[list(h), v] for h, v in sorted(self.table.items())],
         }
-
-
-def cx_encode(p: Position, x: XVector, k: int) -> Position:
-    """Collapse each two-move block of p into one symbol: x_i(a) + b (mod k)."""
-    blocks = len(p) // 2
-    if x.depth < blocks:
-        raise ValueError(f"vector depth {x.depth} too small for {blocks} blocks")
-    return tuple((x.entries[i][p[2 * i]] + p[2 * i + 1]) % k for i in range(blocks))
-
-
-def cx_code(Z: PositionSet, x: XVector, k: int) -> PrefixCode:
-    """Image of the set under the block encoding; duplicates collapse."""
-    return PrefixCode(frozenset(cx_encode(p, x, k) for p in Z), k)
 
 
 def history_encode(p: Position, x: HistoryMixer, k: int) -> Position:
@@ -286,16 +274,16 @@ def _first_non_maximal_image(
     Z: PositionSet,
     k: int,
     winner: int,
-    mixers: Iterable[XVector | HistoryMixer],
-    image_of: Callable[[PositionSet, Any, int], PrefixCode],
+    mixers: Iterable[tuple[XVector | HistoryMixer, HistoryMixer]],
 ) -> EquivalenceReport:
+    """Try (reported mixer, history mixer) pairs in order; the first failing one is the witness."""
     witness = None
     checked = 0
-    for x in mixers:
+    for reported, mixer in mixers:
         checked += 1
-        image = image_of(Z, x, k)
+        image = history_code(Z, mixer, k)
         if not (is_prefix_code(image) and is_maximal(image)):
-            witness = x
+            witness = reported
             break
     all_maximal = witness is None
     return EquivalenceReport(
@@ -316,7 +304,8 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Compare the solved winner with maximality of every block-code image.
 
-    Requires a minimal-size antichain.  Only the forward direction holds
+    Requires a minimal-size antichain.  Each per-stage vector is encoded
+    through its lift ``XVector.as_mixer``.  Only the forward direction holds
     for per-stage vectors: if Player 1 wins, the image is a maximal prefix
     code for every mixing vector.  The converse fails, e.g. on the depth-4
     responder win {0000, 0100, 1001, 1101}, whose every image is maximal;
@@ -329,7 +318,7 @@ def equivalence_check(
     winner = solve(GameInstance(k, Z), budget=solve_budget).winner
     depth = max((len(p) // 2 for p in Z), default=0)
     vectors = xvectors_enumerate(k, depth, full=full, budget=budget)
-    return _first_non_maximal_image(Z, k, winner, vectors, cx_code)
+    return _first_non_maximal_image(Z, k, winner, ((x, x.as_mixer(Z)) for x in vectors))
 
 
 def history_equivalence_check(
@@ -363,7 +352,7 @@ def history_equivalence_check(
         HistoryMixer(dict(zip(histories, values)), k)
         for values in itertools.product(range(k), repeat=len(histories))
     )
-    return _first_non_maximal_image(Z, k, winner, mixers, history_code)
+    return _first_non_maximal_image(Z, k, winner, ((m, m) for m in mixers))
 
 
 def build_Z_from_code(code: PrefixCode, s1: Strategy) -> PositionSet:
@@ -397,13 +386,13 @@ def extract_generating_subset(
     report = solve(GameInstance(k, Z), budget=solve_budget)
     if report.winner != 1:
         raise ValueError("extract_generating_subset requires a Player-1 win")
-    image = cx_code(Z, x, k)
+    mixer = x.as_mixer(Z)
+    image = history_code(Z, mixer, k)
     if not (is_prefix_code(image) and is_maximal(image)):
         raise AssertionError("image of a winning minimal-size set must be maximal")
     representative: dict[Position, Position] = {}
     for p in sorted(Z.positions):
-        word = cx_encode(p, x, k)
-        representative.setdefault(word, p)
+        representative.setdefault(history_encode(p, mixer, k), p)
     words = sorted(image.words)
     longest = max(len(w) for w in words)
     c1 = min(w for w in words if len(w) == longest)

@@ -146,6 +146,8 @@ def load_xvector(path: str | Path, alphabet_size: int | None = None) -> XVector:
         raise _fail(path, "expected 'entries' or the binary shorthand 'bits'")
     tables = _int_arrays(path, entries, "entries")
     depth = data.get("depth", len(tables))
+    if type(depth) is not int:
+        raise _fail(path, "'depth' must be an integer")
     if depth != len(tables):
         raise _fail(path, f"'depth' is {depth} but {len(tables)} entries are listed")
     try:

@@ -8,9 +8,10 @@ win, even-length nodes take OR over their k children and odd-length nodes
 AND.  One walker then plays the winner's smallest winning symbol against
 every reply down to depth D; it yields the winning strategy, its
 uniqueness and the elements of Z the plays reach.  Budgets count the
-trie's nodes and the nodes the walker visits.  A deliberately dumb
-unmemoized minimax over all k^D leaves serves as an independent oracle.
-All operations are pure and, apart from that oracle, iterative.
+trie's nodes and, before the responder's walk starts, the exact number of
+nodes it will visit.  A deliberately dumb unmemoized minimax over all k^D
+leaves serves as an independent oracle.  All operations are pure and,
+apart from that oracle, iterative.
 """
 
 from __future__ import annotations
@@ -37,59 +38,34 @@ class StrategyError(KeyError):
     """An explicit strategy is undefined on a node it is asked about."""
 
 
+@dataclass
 class Strategy:
-    """Move rule for one player.
+    """Move rule for one player: a finite map from positions of its parity to symbols."""
 
-    Oblivious strategies play a fixed symbol per stage and ignore history;
-    explicit strategies are finite maps from positions (of the mover's
-    parity) to symbols.
-    """
+    table: dict[Position, int]
+    player: int = 1
 
-    def __init__(self, player: int, kind: str, moves=None, table=None):
-        if player not in (1, 2):
+    def __post_init__(self) -> None:
+        if self.player not in (1, 2):
             raise ValueError("player must be 1 or 2")
-        if kind not in ("oblivious", "explicit"):
-            raise ValueError(f"unknown strategy kind {kind!r}")
-        self.player = player
-        self.kind = kind
-        self.moves: tuple[int, ...] = tuple(moves) if moves is not None else ()
-        self.table: dict[Position, int] = dict(table) if table is not None else {}
-
-    @classmethod
-    def oblivious(cls, moves, player: int = 1) -> "Strategy":
-        return cls(player, "oblivious", moves=moves)
-
-    @classmethod
-    def explicit(cls, table, player: int = 1) -> "Strategy":
-        return cls(player, "explicit", table=table)
+        self.table = dict(self.table)
 
     def move(self, position: Position) -> int:
-        parity = 0 if self.player == 1 else 1
-        if len(position) % 2 != parity:
+        if len(position) % 2 != self.player - 1:
             raise ValueError(
                 f"player {self.player} does not move at a length-{len(position)} position"
             )
-        if self.kind == "oblivious":
-            stage = len(position) // 2
-            if stage >= len(self.moves):
-                raise StrategyError(f"oblivious strategy too short for stage {stage}")
-            return self.moves[stage]
         try:
             return self.table[position]
         except KeyError:
             raise StrategyError(f"explicit strategy undefined at {position!r}") from None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"player": self.player, "kind": self.kind}
-        if self.kind == "oblivious":
-            out["moves"] = list(self.moves)
-        else:
-            out["table"] = [[list(p), a] for p, a in sorted(self.table.items())]
-        return out
-
-    def __repr__(self) -> str:
-        payload = self.moves if self.kind == "oblivious" else self.table
-        return f"Strategy(player={self.player}, {self.kind}, {payload!r})"
+        return {
+            "player": self.player,
+            "kind": "explicit",  # part of the solve report format
+            "table": [[list(p), a] for p, a in sorted(self.table.items())],
+        }
 
 
 class GameInstance:
@@ -177,26 +153,21 @@ class _Induction:
         return self.win.get(p, False)
 
 
-def _walk(
-    ind: _Induction, player: int, budget: int
-) -> tuple[dict[Position, int], bool, set[Position]]:
+def _walk(ind: _Induction, player: int) -> tuple[dict[Position, int], bool, set[Position]]:
     """Play the winner's smallest winning symbol against every reply.
 
     Returns the winner's explicit table, whether each of Player 1's moves
     was its only winning symbol (always False for Player 2), and the
-    elements of Z the plays reach.  Player 2's table runs down to depth D
-    off the trie too, so it is total on every play consistent with it.
+    elements of Z the plays reach.  Player 1's walk stays on the trie.
+    Player 2's runs down to depth D off the trie too, so its table is total
+    on every play consistent with it.
     """
     table: dict[Position, int] = {}
     unique = player == 1
     reached: set[Position] = set()
     stack: list[Position] = [()]
-    visited = 0
     while stack:
         p = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise BudgetExceededError(f"the strategy walk visits more than {budget} nodes")
         if p in ind.zt:
             reached.add(p)
         elif len(p) == ind.depth:
@@ -231,10 +202,16 @@ def solve(game: GameInstance, budget: int = DEFAULT_BUDGET) -> SolveReport:
         warning = TRUNCATION_WARNING
     ind = _Induction(game, budget)
     winner = 1 if ind.wins(()) else 2
-    table, unique, _ = _walk(ind, winner, budget)
+    if winner == 2:
+        # never reaching Z, the responder's walk meets all k moves at every
+        # even node down to depth D and answers each with one move
+        walked = 2 * (game.k ** (game.depth // 2 + 1) - 1) // (game.k - 1) - 1
+        if walked > budget:
+            raise BudgetExceededError(f"the strategy walk visits more than {budget} nodes")
+    table, unique, _ = _walk(ind, winner)
     return SolveReport(
         winner=winner,
-        strategy=Strategy.explicit(table, player=winner),
+        strategy=Strategy(table, player=winner),
         unique_p1_strategy=unique,
         winning_action_counts=ind.counts,
         warning=warning,
@@ -270,7 +247,7 @@ def extract_minimal_size(game: GameInstance, budget: int = DEFAULT_BUDGET) -> Po
     ind = _Induction(game, budget)
     if not ind.wins(()):
         raise ValueError("extract_minimal_size requires a Player-1 win")
-    _, _, chosen = _walk(ind, 1, budget)
+    _, _, chosen = _walk(ind, 1)
     total = word_sum(map(hat, chosen), uniform_weight(game.k))
     if total != 1:
         raise AssertionError(f"minimal-size extraction produced sum {total}")

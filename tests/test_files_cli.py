@@ -151,9 +151,15 @@ def test_cli_codes_equiv_flags_failed_equivalence(tmp_path, capsys):
             2, PositionSet([(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1)])
         )
     )
-    assert main(["codes", "equiv", str(path)]) == 1
+    assert main(["codes", "equiv", str(path), "--per-stage"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["winner"] == 2 and payload["all_maximal"]
+
+    # over history mixers the equivalence holds: some image is not maximal
+    assert main(["codes", "equiv", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["winner"] == 2 and payload["equiv_holds"]
+    assert not payload["all_maximal"]
 
 
 def test_cli_fold_index_member(capsys):
@@ -252,6 +258,7 @@ def test_cli_env_budget(game_file):
     [
         ("game", {"alphabet_size": 2, "positions": [[True, False], [False, True]]}),
         ("xvector", {"bits": [True, False]}),
+        ("xvector", {"depth": True, "entries": [[0, 1]]}),
     ],
 )
 def test_json_booleans_are_not_symbols(tmp_path, game_file, capsys, kind, payload):

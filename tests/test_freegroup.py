@@ -141,7 +141,7 @@ def test_hat_index_examples():
 
 
 def test_hat_index_matches_zero_vector_image():
-    from opengame.codes import XVector, cx_code
+    from opengame.codes import XVector, history_code
 
     sets = [
         PositionSet([(0, 0), (0, 1)]),
@@ -150,7 +150,7 @@ def test_hat_index_matches_zero_vector_image():
     ]
     for z in sets:
         depth = max(len(p) // 2 for p in z)
-        image = cx_code(z, XVector.zero(depth, 2), 2)
+        image = history_code(z, XVector([(0, 0)] * depth, alphabet_size=2).as_mixer(z), 2)
         direct = subgroup_index([word_from_position(w) for w in image.words if w], 2)
         via_hat = hat_index(z, 2)
         assert direct.value == via_hat.value

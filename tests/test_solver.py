@@ -113,6 +113,12 @@ def test_budget_guard():
         solve(full, budget=30)
     with pytest.raises(BudgetExceededError):
         extract_minimal_size(full, budget=30)
+    # a responder walk visits exactly 2(k^(D/2+1) - 1)/(k - 1) - 1 nodes
+    for k, n, nodes in ((2, 5, 2 * (2**6 - 1) - 1), (3, 4, (3**5 - 1) - 1)):
+        comb = GameInstance(k, PositionSet([(0,) * (2 * n)]))
+        assert solve(comb, budget=nodes).winner == 2
+        with pytest.raises(BudgetExceededError):
+            solve(comb, budget=nodes - 1)
 
 
 def _comb(n: int) -> PositionSet:
@@ -214,10 +220,10 @@ def test_winner_one_strategies_verify():
 
 def test_verify_strategy_rejects_illegal_and_missing_moves():
     game = GameInstance(2, PositionSet([(0, 0)]))
-    assert verify_strategy(game, Strategy.explicit({(0,): 1, (1,): 0}, player=2))
+    assert verify_strategy(game, Strategy({(0,): 1, (1,): 0}, player=2))
     # symbol 2 is off a binary tree: the play it names never happens
-    assert not verify_strategy(game, Strategy.explicit({(0,): 2, (1,): 0}, player=2))
-    assert not verify_strategy(game, Strategy.explicit({(0,): 1}, player=2))
+    assert not verify_strategy(game, Strategy({(0,): 2, (1,): 0}, player=2))
+    assert not verify_strategy(game, Strategy({(0,): 1}, player=2))
 
 
 def test_extracted_strategies_verify_on_random_instances():
@@ -237,25 +243,25 @@ def test_extracted_strategies_verify_on_random_instances():
 
 def test_consistent_positions():
     z = PositionSet([(0, 0), (1, 0)])
-    kept = consistent_positions(z, Strategy.oblivious((0,)))
+    kept = consistent_positions(z, Strategy({(): 0}))
     assert kept.positions == {(0, 0)}
-    kept2 = consistent_positions(PositionSet([(0, 0)]), Strategy.oblivious((0,)))
+    kept2 = consistent_positions(PositionSet([(0, 0)]), Strategy({(): 0}))
     assert kept2.positions == {(0, 0)}
 
 
 def test_consistent_positions_partial_explicit_strategy_errors():
-    s = Strategy.explicit({(): 0})
+    s = Strategy({(): 0})
     with pytest.raises(StrategyError):
         consistent_positions(PositionSet([(0, 0, 1, 0)]), s)
 
 
 def test_strategy_parity_checks():
-    s1 = Strategy.oblivious((0, 1))
+    s1 = Strategy({(): 0, (1, 1): 1})
     assert s1.move(()) == 0
     assert s1.move((1, 1)) == 1
     with pytest.raises(ValueError):
         s1.move((0,))
-    s2 = Strategy.oblivious((1,), player=2)
+    s2 = Strategy({(0,): 1}, player=2)
     assert s2.move((0,)) == 1
 
 
