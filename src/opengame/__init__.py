@@ -71,7 +71,6 @@ from .solver import (
 from .tree import (
     Position,
     PositionSet,
-    concat_prefix_member,
     hat,
     is_prefix,
     normalize_even,

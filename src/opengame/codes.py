@@ -38,7 +38,7 @@ class PrefixCode(PositionSet):
         if alphabet_size < 2:
             raise ValueError("alphabet size must be at least 2")
         for w in self.positions:
-            if any(a >= alphabet_size for a in w):
+            if w and max(w) >= alphabet_size:
                 raise ValueError(f"symbol out of range in {w!r}")
         self.alphabet_size = alphabet_size
 

@@ -16,7 +16,7 @@ from typing import Any
 
 from .codes import PrefixCode, XVector
 from .covering import Measure, MeasureSpec
-from .freegroup import GroupWord, parse_word, word_to_str
+from .freegroup import GroupWord, parse_word
 from .tree import PositionSet
 
 SCHEMA_VERSION = 1
@@ -192,17 +192,6 @@ def parse_generators(arg: str | Path) -> tuple[int | None, list[GroupWord]]:
             raise _fail(arg, str(exc)) from None
     words = [w for w in (piece.strip() for piece in text.split(",")) if w]
     return None, [parse_word(w) for w in words]
-
-
-def generators_to_json(k: int, words: list[GroupWord]) -> str:
-    return dumps_canonical(
-        {
-            "kind": "generators",
-            "schema_version": SCHEMA_VERSION,
-            "alphabet_size": k,
-            "generators": sorted(word_to_str(w) for w in words),
-        }
-    )
 
 
 # -- measures ------------------------------------------------------------------

@@ -81,7 +81,7 @@ class GameInstance:
         if not zset.antichain:
             raise ValueError("winning-set positions must form an antichain")
         for p in zset:
-            if any(a >= alphabet_size for a in p):
+            if p and max(p) >= alphabet_size:
                 raise ValueError(f"symbol out of range in {p!r}")
         self.k = alphabet_size
         self.zset = normalize_even(zset, alphabet_size)

@@ -4,6 +4,12 @@ Symbols are canonical integers 0..k-1; display alphabets are a
 serialization concern only.  A position is a plain tuple of symbols, the
 empty tuple being the root.  Everything here is immutable after
 construction and safe to share between threads.
+
+A word set is validated once, where it enters: ``PositionSet`` rejects
+negative symbols, ``GameInstance`` and ``PrefixCode`` symbols >= k, and
+the antichain test is one sort and one pass over sorted neighbours.  A
+set derived from a valid one, like ``normalize_even``'s output, is not
+tested for the antichain property again.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ Position = tuple[int, ...]
 
 
 def as_position(seq: Iterable[int]) -> Position:
-    p = tuple(int(a) for a in seq)
-    if any(a < 0 for a in p):
+    p = tuple(map(int, seq))
+    if p and min(p) < 0:
         raise ValueError(f"negative symbol in position {p!r}")
     return p
 
@@ -24,10 +30,6 @@ def as_position(seq: Iterable[int]) -> Position:
 def is_prefix(p: Position, q: Position) -> bool:
     """True iff p is an initial segment of q (equality counts)."""
     return len(p) <= len(q) and q[: len(p)] == p
-
-
-def is_proper_prefix(p: Position, q: Position) -> bool:
-    return len(p) < len(q) and q[: len(p)] == p
 
 
 def hat(p: Position) -> Position:
@@ -39,7 +41,9 @@ class PositionSet:
     """Finite set of positions generating an open winning set.
 
     The package's one word-set type: ``codes.PrefixCode`` is this set with
-    an alphabet size, and its prefix-free test is ``antichain``.
+    an alphabet size, and its prefix-free test is ``antichain``: in sorted
+    order, the set is an antichain iff no element is a prefix of its
+    successor.  The constructor rejects negative symbols.
 
     ``infinite_family`` declares that the listed positions are a truncation
     of an infinite family; all computations treat the listed positions as
@@ -53,12 +57,11 @@ class PositionSet:
     @cached_property
     def antichain(self) -> bool:
         """True iff no element is a proper prefix of another."""
-        elems = self.positions
-        for p in elems:
-            for j in range(len(p)):
-                if p[:j] in elems:
-                    return False
-        return True
+        # If p is a proper prefix of q, every element sorted between them
+        # also starts with p, so the one just after p does: comparing
+        # neighbours suffices.
+        elems = sorted(self.positions)
+        return not any(q[: len(p)] == p for p, q in zip(elems, elems[1:]))
 
     @cached_property
     def even_normalized(self) -> bool:
@@ -102,48 +105,17 @@ def normalize_even(zset: PositionSet, k: int) -> PositionSet:
 
     The boundary set is unchanged: a long position extends an element of
     the input iff it extends an element of the output.  Requires an
-    antichain; the expansion preserves that property.
+    antichain; the expansion preserves that property, and an
+    even-normalized input is returned as it is.
     """
     if not zset.antichain:
         raise ValueError("normalize_even requires an antichain")
+    if zset.even_normalized:
+        return zset
     out: set[Position] = set()
     for p in zset:
         if len(p) % 2 == 0:
             out.add(p)
         else:
             out.update(p + (a,) for a in range(k))
-    result = PositionSet(out, zset.infinite_family)
-    if not result.antichain:  # cannot happen for antichain input
-        raise AssertionError("even normalization broke the antichain property")
-    return result
-
-
-def concat_prefix_member(zset: PositionSet, w: Iterable[int]) -> bool:
-    """Decide whether w is a prefix of an infinite concatenation of elements.
-
-    Dynamic programming over decompositions w = p1 ... pj r with each pi in
-    the set and r a prefix of some element.  Requires an even-normalized
-    antichain.  Length-0 elements contribute nothing to concatenations and
-    are ignored.
-    """
-    if not zset.even_normalized:
-        raise ValueError("concat_prefix_member requires an even-normalized set")
-    if not zset.antichain:
-        raise ValueError("concat_prefix_member requires an antichain")
-    word = as_position(w)
-    blocks = [z for z in zset.positions if z]
-    if not blocks:
-        return False
-    n = len(word)
-    reach = [False] * (n + 1)
-    reach[0] = True
-    for i in range(n + 1):
-        if not reach[i]:
-            continue
-        rest = word[i:]
-        for z in blocks:
-            if is_prefix(rest, z):
-                return True
-            if is_prefix(z, rest):
-                reach[i + len(z)] = True
-    return False
+    return PositionSet(out, zset.infinite_family)

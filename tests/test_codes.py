@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -74,6 +75,15 @@ def test_is_maximal_examples():
 def test_is_maximal_rejects_non_prefix_code():
     with pytest.raises(ValueError):
         is_maximal(PrefixCode.of([(0,), (0, 1)], 2))
+
+
+def test_prefix_code_symbol_checks_name_the_first_offending_word():
+    with pytest.raises(ValueError, match=re.escape("negative symbol in position (1, -2)")):
+        PrefixCode([(0, 1), (1, -2), (-1,)], 2)
+    words = [(0, 1), (2, 0, 1), (1, 1, 3), (1, 2), ()]
+    first = next(w for w in PositionSet(words) if any(a >= 2 for a in w))
+    with pytest.raises(ValueError, match=re.escape(f"symbol out of range in {first!r}")):
+        PrefixCode(words, 2)
 
 
 def test_is_maximal_agrees_with_brute_force_everywhere():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -74,8 +75,33 @@ def test_solve_normalizes_on_ingestion():
 
 
 def test_solve_rejects_non_antichain():
-    with pytest.raises(ValueError):
+    not_antichain = "^winning-set positions must form an antichain$"
+    with pytest.raises(ValueError, match=not_antichain):
         GameInstance(2, PositionSet([(0,), (0, 1)]))
+    with pytest.raises(ValueError, match=not_antichain):
+        GameInstance(3, PositionSet([(), (2, 2)]))
+    with pytest.raises(ValueError, match=not_antichain):
+        GameInstance(2, PositionSet([(1, 0), (0, 1, 1), (0, 1, 1, 0, 1)]))
+    # the antichain test comes before the symbol check
+    with pytest.raises(ValueError, match=not_antichain):
+        GameInstance(2, PositionSet([(5,), (5, 1)]))
+    with pytest.raises(ValueError, match=re.escape("negative symbol in position (0, -1)")):
+        GameInstance(2, PositionSet([(0, 0), (0, -1)]))
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(50):
+        z = PositionSet(
+            tuple(rng.randrange(4) for _ in range(2 * rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 6))
+        )
+        if not z.antichain or max(map(max, z)) < 2:
+            continue
+        # the check names the first offending position in iteration order
+        first = next(p for p in z if any(a >= 2 for a in p))
+        with pytest.raises(ValueError, match=re.escape(f"symbol out of range in {first!r}")):
+            GameInstance(2, z)
+        checked += 1
+    assert checked >= 20
 
 
 def test_uniqueness_flag():

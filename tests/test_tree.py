@@ -1,17 +1,30 @@
 import itertools
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from opengame.tree import (
     PositionSet,
-    concat_prefix_member,
     hat,
     is_prefix,
     normalize_even,
 )
 
 positions = st.lists(st.integers(0, 2), max_size=8).map(tuple)
+
+
+@st.composite
+def word_sets(draw):
+    """(k, set of words over 0..k-1) with k <= 3, length <= 8, the root included."""
+    k = draw(st.integers(2, 3))
+    word = st.lists(st.integers(0, k - 1), max_size=8).map(tuple)
+    return k, draw(st.sets(word, max_size=12))
+
+
+def _minimal_elements(words):
+    # the quadratic reference: the elements with no proper prefix in the set
+    return {p for p in words if not any(p[:j] in words for j in range(len(p)))}
 
 
 def test_is_prefix_examples():
@@ -37,6 +50,40 @@ def test_antichain_examples():
     assert PositionSet([]).antichain
 
 
+@settings(max_examples=200)
+@given(word_sets())
+def test_antichain_matches_definition(drawn):
+    _, words = drawn
+    assert PositionSet(words).antichain == (_minimal_elements(words) == words)
+
+
+@settings(max_examples=200)
+@given(word_sets())
+def test_normalize_even_output_is_an_even_antichain_with_the_same_boundary(drawn):
+    # pins what normalize_even guarantees by construction, so it need not
+    # re-check its result at run time
+    k, words = drawn
+    z = PositionSet(_minimal_elements(words))
+    nz = normalize_even(z, k)
+    assert _minimal_elements(nz.positions) == nz.positions
+    assert nz.even_normalized
+    for q in nz:
+        assert sum(is_prefix(p, q) for p in z) == 1, (sorted(z.positions), q)
+    for p in z:
+        below = {q for q in nz if is_prefix(p, q)}
+        if len(p) % 2:
+            assert below == {p + (a,) for a in range(k)}
+        else:
+            assert below == {p}
+
+
+def test_negative_symbol_names_the_first_offending_position():
+    with pytest.raises(ValueError, match=re.escape("negative symbol in position (2, -1)")):
+        PositionSet([(0, 1), (2, -1), (-3,)])
+    with pytest.raises(ValueError, match=re.escape("negative symbol in position (-1,)")):
+        PositionSet([[-1]])
+
+
 def test_normalize_even_examples():
     assert normalize_even(PositionSet([(0,)]), 2).positions == {(0, 0), (0, 1)}
     assert normalize_even(PositionSet([(0, 0)]), 2).positions == {(0, 0)}
@@ -44,8 +91,10 @@ def test_normalize_even_examples():
 
 
 def test_normalize_even_requires_antichain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^normalize_even requires an antichain$"):
         normalize_even(PositionSet([(0,), (0, 1)]), 2)
+    with pytest.raises(ValueError, match="^normalize_even requires an antichain$"):
+        normalize_even(PositionSet([(), (1, 1)]), 2)
 
 
 def test_normalize_even_preserves_boundary_exhaustively():
@@ -72,47 +121,3 @@ def test_hat_examples():
 @given(positions)
 def test_hat_length(p):
     assert len(hat(p)) == len(p) // 2
-
-
-def _concat_prefix_oracle(zset: PositionSet, w: tuple[int, ...]) -> bool:
-    blocks = [z for z in zset.positions if z]
-    if not blocks:
-        return False
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        c = stack.pop()
-        if len(c) >= len(w):
-            if c[: len(w)] == w:
-                return True
-            continue
-        stack.extend(c + z for z in blocks)
-    return False
-
-
-def test_concat_prefix_member_examples():
-    z = PositionSet([(0, 0), (0, 1)])
-    assert concat_prefix_member(z, (0, 1, 0, 0))
-    assert not concat_prefix_member(PositionSet([(0, 0)]), (1,))
-    assert concat_prefix_member(z, (0,))
-
-
-def test_concat_prefix_member_matches_oracle():
-    sets = [
-        PositionSet([(0, 0), (0, 1)]),
-        PositionSet([(0, 0)]),
-        PositionSet([(0, 1), (1, 0, 1, 1)]),
-        PositionSet([(1, 1)]),
-        PositionSet([]),
-    ]
-    for z in sets:
-        for n in range(5):
-            for w in itertools.product((0, 1), repeat=n):
-                assert concat_prefix_member(z, w) == _concat_prefix_oracle(z, w), (
-                    sorted(z.positions),
-                    w,
-                )
-
-
-def test_concat_prefix_member_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        concat_prefix_member(PositionSet([(0,)]), (0,))
