@@ -29,8 +29,6 @@ from .covering import (
     MonteCarloReport,
     averaged_identity,
     identity_sum,
-    lift_count,
-    lift_enumerate,
     measure_criterion,
     monte_carlo_hit,
     strategy_consistent_lifts,
@@ -63,7 +61,6 @@ from .solver import (
     SolveReport,
     Strategy,
     brute_force_oracle,
-    consistent_positions,
     extract_minimal_size,
     solve,
     verify_strategy,

@@ -256,8 +256,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         measure = spec.single
     else:
         measure = Measure.uniform(code.alphabet_size)
-    x = _parse_symbols(args.x) if args.x is not None else None
-    report = monte_carlo_hit(code, x, measure, args.trials, args.seed)
+    report = monte_carlo_hit(code, None, measure, args.trials, args.seed)
     payload = report.to_json_dict()
     payload["within_3_sigma"] = (
         abs(report.empirical - float(report.exact)) <= 3 * report.sigma
@@ -352,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="seeded Monte Carlo hit-frequency check")
     p.add_argument("code")
     p.add_argument("--measure", default=None)
-    p.add_argument("--x", default=None)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_mc)

@@ -46,10 +46,6 @@ class PrefixCode(PositionSet):
     def of(cls, words: Iterable[Iterable[int]], alphabet_size: int) -> "PrefixCode":
         return cls(words, alphabet_size)
 
-    @property
-    def words(self) -> frozenset[Position]:
-        return self.positions
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrefixCode):
             return NotImplemented
@@ -68,9 +64,9 @@ def is_bifix_code(code: PrefixCode) -> bool:
     """Prefix-free and suffix-free."""
     if not is_prefix_code(code):
         return False
-    for w in code.words:
+    for w in code.positions:
         for j in range(1, len(w) + 1):
-            if w[j:] in code.words and w[j:] != w:
+            if w[j:] in code.positions and w[j:] != w:
                 return False
     return True
 
@@ -82,10 +78,10 @@ def _maximal_by_kraft(code: PrefixCode) -> bool:
 def _maximal_by_completeness(code: PrefixCode) -> bool:
     # every one-symbol extension of a proper prefix of a codeword must stay
     # comparable with the code, otherwise that extension could be added
-    if not code.words:
+    if not code.positions:
         return False
-    prefixes = {w[:j] for w in code.words for j in range(len(w))}
-    cover = prefixes | code.words
+    prefixes = {w[:j] for w in code.positions for j in range(len(w))}
+    cover = prefixes | code.positions
     return all(
         p + (a,) in cover for p in prefixes for a in range(code.alphabet_size)
     )
@@ -362,7 +358,7 @@ def build_Z_from_code(code: PrefixCode, s1: Strategy) -> PositionSet:
     the code is maximal, and is minimal-size in that case.
     """
     out = []
-    for word in code.words:
+    for word in code.positions:
         p: Position = ()
         for symbol in word:
             p = p + (s1.move(p), symbol)
@@ -393,7 +389,7 @@ def extract_generating_subset(
     representative: dict[Position, Position] = {}
     for p in sorted(Z.positions):
         representative.setdefault(history_encode(p, mixer, k), p)
-    words = sorted(image.words)
+    words = sorted(image.positions)
     longest = max(len(w) for w in words)
     c1 = min(w for w in words if len(w) == longest)
     chosen = {c1}
@@ -422,6 +418,6 @@ def brute_force_maximal(code: PrefixCode) -> bool:
     k = code.alphabet_size
     for length in range(code.max_length + 2):
         for w in itertools.product(range(k), repeat=length):
-            if not any(is_prefix(c, w) or is_prefix(w, c) for c in code.words):
+            if not any(is_prefix(c, w) or is_prefix(w, c) for c in code.positions):
                 return False
     return True

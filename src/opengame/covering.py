@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .codes import PrefixCode, is_prefix_code
 from .criteria import uniform_weight, word_sum
-from .tree import Position, PositionSet, as_position, hat
+from .tree import Position, PositionSet, hat
 
 SignedLetter = tuple[int, int]
 SignedPosition = tuple[SignedLetter, ...]
@@ -39,26 +39,10 @@ class MeasureError(ValueError):
     """A symbol without a weight was requested."""
 
 
-def interleave(x: Sequence[int], c: Sequence[int]) -> Position:
-    """The position where the mover plays x and the responder plays c."""
-    if len(x) < len(c):
-        raise ValueError("mover sequence shorter than responder word")
-    out: list[int] = []
-    for i, symbol in enumerate(c):
-        out.append(x[i])
-        out.append(symbol)
-    return tuple(out)
-
-
 def mismatch_count(c: Sequence[int], x: Sequence[int]) -> int:
     if len(x) < len(c):
         raise ValueError("mover sequence shorter than responder word")
     return sum(1 for i, symbol in enumerate(c) if symbol != x[i])
-
-
-def lift_count(c: Sequence[int], x: Sequence[int]) -> int:
-    """Number of strategy-consistent lifts of interleave(x, c): 2^mismatches."""
-    return 2 ** mismatch_count(c, x)
 
 
 def _reduction_free(signed: SignedPosition) -> bool:
@@ -68,26 +52,8 @@ def _reduction_free(signed: SignedPosition) -> bool:
     )
 
 
-def lift_enumerate(p: Sequence[int]) -> frozenset[SignedPosition]:
-    """All sign assignments of p whose signed word admits no reduction."""
-    pos = as_position(p)
-    out: set[SignedPosition] = set()
-    stack: list[SignedPosition] = [()]
-    while stack:
-        partial = stack.pop()
-        i = len(partial)
-        if i == len(pos):
-            out.add(partial)
-            continue
-        for sign in (1, -1):
-            if partial and partial[-1] == (pos[i], -sign):
-                continue
-            stack.append(partial + ((pos[i], sign),))
-    return frozenset(out)
-
-
 def strategy_consistent_lifts(c: Sequence[int], x: Sequence[int]) -> frozenset[SignedPosition]:
-    """Lifts of interleave(x, c) consistent with the canonical lifted mover strategy.
+    """Lifts of the play x_1 c_1 x_2 c_2 ... consistent with the lifted mover strategy.
 
     The mover's lifted move at block i is the positive sign unless that
     would cancel against the previous letter, in which case the sign is
@@ -150,12 +116,16 @@ def identity_sum(code: PrefixCode, x: Sequence[int]) -> IdentityReport:
     """Exact sum of 2^mismatches * (2k-1)^(-length) over the codewords.
 
     Equals 1 exactly when the code is maximal and falls short of 1 for
-    any non-maximal prefix code, for every choice of x.
+    any non-maximal prefix code, for every x over 0..k-1; a symbol outside
+    the alphabet is an error, since it would count every block as a
+    mismatch.
     """
     if not is_prefix_code(code):
         raise ValueError("identity_sum requires a prefix code")
     if len(x) < code.max_length:
         raise ValueError("x must cover the longest codeword")
+    if x and (min(x) < 0 or max(x) >= code.alphabet_size):
+        raise ValueError(f"x uses symbols outside 0..{code.alphabet_size - 1}")
     q = 2 * code.alphabet_size - 1
     total = word_sum(code, lambda i, a: Fraction(1 if a == x[i] else 2, q))
     return IdentityReport(total, _verdict(total))
@@ -356,7 +326,7 @@ def lifted_measure_sum(code: PrefixCode, x: Sequence[int], measure: Measure) -> 
     if len(x) < code.max_length:
         raise ValueError("x must cover the longest codeword")
     total = Fraction(0)
-    for c in code.words:
+    for c in code.positions:
         for lift in strategy_consistent_lifts(c, x):
             term = Fraction(1)
             for i, (symbol, _sign) in enumerate(lift[1::2]):
@@ -421,17 +391,16 @@ def monte_carlo_hit(
 ) -> MonteCarloReport:
     """Simulate plays and compare the hit frequency against the exact sum.
 
-    The mover follows x (which cannot affect whether the responder's word
-    enters the code); the responder samples i.i.d. from the measure.  Each
-    trial draws from its own splitmix64 substream seeded from (seed,
-    trial), so results are platform-independent and do not depend on how
-    trials are partitioned across workers.
+    The responder samples i.i.d. from the measure.  ``x`` is unused: the
+    mover's symbols cannot affect whether the responder's word enters the
+    code.  Each trial draws from its own splitmix64 substream seeded from
+    (seed, trial), so results are platform-independent.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     exact = exact_hit_probability(code, measure)
     maxlen = code.max_length
-    words = code.words
+    words = code.positions
     hits = 0
     base = seed & _MASK64
     for trial in range(trials):

@@ -83,7 +83,7 @@ def load_game(path: str | Path) -> tuple[int, PositionSet]:
     k = _alphabet_size(path, data)
     positions = _int_arrays(path, data.get("positions"), "positions")
     for p in positions:
-        if any(a >= k for a in p):
+        if p and max(p) >= k:
             raise _fail(path, f"position {list(p)} uses symbols outside 0..{k - 1}")
     flag = data.get("infinite_family", False)
     if not isinstance(flag, bool):

@@ -33,10 +33,6 @@ def reduce_word(letters: Iterable[Letter]) -> GroupWord:
     return tuple(stack)
 
 
-def inverse_word(word: Iterable[Letter]) -> GroupWord:
-    return tuple((gen, -sign) for gen, sign in reversed(tuple(word)))
-
-
 def word_from_position(p: Sequence[int]) -> GroupWord:
     """Read a position as a positive word: symbol i becomes generator i."""
     return tuple((a, 1) for a in p)

@@ -254,17 +254,6 @@ def extract_minimal_size(game: GameInstance, budget: int = DEFAULT_BUDGET) -> Po
     return PositionSet(chosen)
 
 
-def consistent_positions(Z: PositionSet, s1: Strategy) -> PositionSet:
-    """Subset of Z whose Player-1 entries match s1 along the position."""
-    if s1.player != 1:
-        raise ValueError("consistent_positions expects a Player-1 strategy")
-    out = []
-    for p in Z:
-        if all(s1.move(p[: 2 * i]) == p[2 * i] for i in range((len(p) + 1) // 2)):
-            out.append(p)
-    return PositionSet(out)
-
-
 def verify_strategy(game: GameInstance, s: Strategy) -> bool:
     """Exhaustively check that s wins every play consistent with it.
 

@@ -1,8 +1,10 @@
 """Exhaustive desk-scale verification batteries.
 
 Each battery checks one acceptance criterion over an enumerated or seeded
-instance family and reports pass/fail with a one-line detail.  The
-batteries are shared by the CLI ``suite`` subcommand and the test suite.
+instance family and returns pass/fail with a one-line detail;
+``run_battery`` times it.  The batteries share one ``SuiteData``, which
+builds each census game once, and serve both the CLI ``suite``
+subcommand and the test suite.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -117,296 +120,253 @@ def random_even_antichain(rng: random.Random, k: int, depth: int) -> PositionSet
 class SuiteData:
     """Shared lazily-computed instance families and per-instance results."""
 
-    def __init__(self) -> None:
-        self._exhaustive: list[PositionSet] | None = None
-        self._winners: list[int] | None = None
-        self._krafts: list[Fraction] | None = None
-        self._random: list[tuple[int, PositionSet]] | None = None
-
-    @property
+    @cached_property
     def exhaustive(self) -> list[PositionSet]:
-        if self._exhaustive is None:
-            self._exhaustive = [
-                PositionSet(s) for s in enumerate_even_antichains_depth4()
-            ]
-        return self._exhaustive
+        return [PositionSet(s) for s in enumerate_even_antichains_depth4()]
 
-    @property
+    @cached_property
+    def games(self) -> list[GameInstance]:
+        """One binary game per exhaustive instance, built once for every battery."""
+        return [GameInstance(2, z) for z in self.exhaustive]
+
+    @cached_property
     def winners(self) -> list[int]:
-        if self._winners is None:
-            self._winners = [
-                solve(GameInstance(2, z)).winner for z in self.exhaustive
-            ]
-        return self._winners
+        return [solve(game).winner for game in self.games]
 
-    @property
+    @cached_property
     def krafts(self) -> list[Fraction]:
-        if self._krafts is None:
-            self._krafts = [kraft_sum(z, 2) for z in self.exhaustive]
-        return self._krafts
+        return [kraft_sum(z, 2) for z in self.exhaustive]
 
-    @property
+    @cached_property
     def random_instances(self) -> list[tuple[int, PositionSet]]:
-        if self._random is None:
-            rng = random.Random(987654321)
-            out = []
-            while len(out) < 1000:
-                k = rng.choice((2, 3))
-                depth = rng.choice((2, 4, 6))
-                out.append((k, random_even_antichain(rng, k, depth)))
-            self._random = out
-        return self._random
+        rng = random.Random(987654321)
+        out = []
+        while len(out) < 1000:
+            k = rng.choice((2, 3))
+            depth = rng.choice((2, 4, 6))
+            out.append((k, random_even_antichain(rng, k, depth)))
+        return out
 
 
-def _battery(name: str, worker: Callable[[], tuple[bool, str]]) -> BatteryResult:
+def battery_solver_oracle(data: SuiteData) -> tuple[bool, str]:
     start = time.monotonic()
-    passed, detail = worker()
-    return BatteryResult(name, passed, detail, time.monotonic() - start)
+    disagreements = 0
+    for game, winner in zip(data.games, data.winners):
+        if winner != brute_force_oracle(game):
+            disagreements += 1
+    for k, zset in data.random_instances:
+        game = GameInstance(k, zset)
+        if solve(game).winner != brute_force_oracle(game):
+            disagreements += 1
+    elapsed = time.monotonic() - start
+    passed = disagreements == 0 and elapsed <= 120
+    return passed, (
+        f"{len(data.exhaustive)} exhaustive + {len(data.random_instances)} random "
+        f"instances, {disagreements} disagreements, {elapsed:.1f}s (limit 120s)"
+    )
 
 
-def battery_solver_oracle(data: SuiteData) -> BatteryResult:
-    def worker() -> tuple[bool, str]:
-        start = time.monotonic()
-        disagreements = 0
-        for zset, winner in zip(data.exhaustive, data.winners):
-            if winner != brute_force_oracle(GameInstance(2, zset)):
-                disagreements += 1
-        for k, zset in data.random_instances:
-            game = GameInstance(k, zset)
-            if solve(game).winner != brute_force_oracle(game):
-                disagreements += 1
-        elapsed = time.monotonic() - start
-        passed = disagreements == 0 and elapsed <= 120
-        return passed, (
-            f"{len(data.exhaustive)} exhaustive + {len(data.random_instances)} random "
-            f"instances, {disagreements} disagreements, {elapsed:.1f}s (limit 120s)"
-        )
-
-    return _battery("solver_oracle", worker)
+def battery_kraft_necessity(data: SuiteData) -> tuple[bool, str]:
+    violations = 0
+    for winner, total in zip(data.winners, data.krafts):
+        if winner == 1 and total < 1:
+            violations += 1
+        if total < 1 and winner != 2:
+            violations += 1
+    return violations == 0, (
+        f"{len(data.exhaustive)} instances, {violations} violations of the"
+        " sum-at-least-one necessity"
+    )
 
 
-def battery_kraft_necessity(data: SuiteData) -> BatteryResult:
-    def worker() -> tuple[bool, str]:
-        violations = 0
-        for winner, total in zip(data.winners, data.krafts):
-            if winner == 1 and total < 1:
-                violations += 1
-            if total < 1 and winner != 2:
-                violations += 1
-        return violations == 0, (
-            f"{len(data.exhaustive)} instances, {violations} violations of the"
-            " sum-at-least-one necessity"
-        )
-
-    return _battery("kraft_necessity", worker)
-
-
-def battery_minimal_extraction(data: SuiteData) -> BatteryResult:
-    def worker() -> tuple[bool, str]:
-        failures = 0
-        count = 0
-        for zset, winner in zip(data.exhaustive, data.winners):
-            if winner != 1:
-                continue
-            count += 1
-            subset = extract_minimal_size(GameInstance(2, zset))
-            if not subset.positions <= zset.positions:
-                failures += 1
-                continue
-            if kraft_sum(subset, 2) != 1:
-                failures += 1
-                continue
-            if solve(GameInstance(2, subset)).winner != 1:
-                failures += 1
-        return failures == 0, f"{count} winner-1 instances, {failures} failures"
-
-    return _battery("minimal_extraction", worker)
+def battery_minimal_extraction(data: SuiteData) -> tuple[bool, str]:
+    failures = 0
+    count = 0
+    for zset, game, winner in zip(data.exhaustive, data.games, data.winners):
+        if winner != 1:
+            continue
+        count += 1
+        subset = extract_minimal_size(game)
+        if not subset.positions <= zset.positions:
+            failures += 1
+            continue
+        if kraft_sum(subset, 2) != 1:
+            failures += 1
+            continue
+        if solve(GameInstance(2, subset)).winner != 1:
+            failures += 1
+    return failures == 0, f"{count} winner-1 instances, {failures} failures"
 
 
-def battery_code_equivalence(data: SuiteData) -> BatteryResult:
-    def worker() -> tuple[bool, str]:
-        forward_violations = 0  # winner 1 but some image not maximal
-        converse_violations = 0  # every image maximal but winner 2
-        first_converse = None
-        binary = 0
-        for zset, winner, total in zip(data.exhaustive, data.winners, data.krafts):
-            if total != 1:
-                continue
-            binary += 1
-            report = history_equivalence_check(zset, 2)
-            if report.equiv_holds:
-                continue
+def battery_code_equivalence(data: SuiteData) -> tuple[bool, str]:
+    forward_violations = 0  # winner 1 but some image not maximal
+    converse_violations = 0  # every image maximal but winner 2
+    first_converse = None
+    binary = 0
+    for zset, winner, total in zip(data.exhaustive, data.winners, data.krafts):
+        if total != 1:
+            continue
+        binary += 1
+        report = history_equivalence_check(zset, 2)
+        if report.equiv_holds:
+            continue
+        if report.winner == 1:
+            forward_violations += 1
+        else:
+            converse_violations += 1
+            if first_converse is None:
+                first_converse = zset.sorted_positions()
+    ternary = 0
+    squares = list(itertools.product(range(3), repeat=2))
+    for combo in itertools.combinations(squares, 3):
+        ternary += 1
+        report = history_equivalence_check(PositionSet(combo), 3)
+        if not report.equiv_holds:
             if report.winner == 1:
                 forward_violations += 1
             else:
                 converse_violations += 1
-                if first_converse is None:
-                    first_converse = zset.sorted_positions()
-        ternary = 0
-        squares = list(itertools.product(range(3), repeat=2))
-        for combo in itertools.combinations(squares, 3):
-            ternary += 1
-            report = history_equivalence_check(PositionSet(combo), 3)
-            if not report.equiv_holds:
-                if report.winner == 1:
-                    forward_violations += 1
-                else:
-                    converse_violations += 1
-        if not history_equivalence_check(PositionSet([()]), 3).equiv_holds:
-            converse_violations += 1
-        ternary += 1
-        detail = (
-            f"{binary} binary + {ternary} ternary minimal-size instances"
-            " over history mixers,"
-            f" {forward_violations} forward violations,"
-            f" {converse_violations} converse counterexamples"
+    if not history_equivalence_check(PositionSet([()]), 3).equiv_holds:
+        converse_violations += 1
+    ternary += 1
+    detail = (
+        f"{binary} binary + {ternary} ternary minimal-size instances"
+        " over history mixers,"
+        f" {forward_violations} forward violations,"
+        f" {converse_violations} converse counterexamples"
+    )
+    if first_converse is not None:
+        detail += (
+            f"; e.g. Z={first_converse} is a responder win"
+            " with every history-mixer image maximal"
         )
-        if first_converse is not None:
-            detail += (
-                f"; e.g. Z={first_converse} is a responder win"
-                " with every history-mixer image maximal"
-            )
-        return forward_violations == 0 and converse_violations == 0, detail
-
-    return _battery("code_equivalence", worker)
+    return forward_violations == 0 and converse_violations == 0, detail
 
 
-def battery_covering_identity(data: SuiteData) -> BatteryResult:
-    def worker() -> tuple[bool, str]:
-        failures = 0
-        checks = 0
-        rep = identity_sum(COMB_CODE, (1, 1, 1))
+def battery_covering_identity(data: SuiteData) -> tuple[bool, str]:
+    failures = 0
+    checks = 0
+    rep = identity_sum(COMB_CODE, (1, 1, 1))
+    checks += 1
+    if rep.sum != 1:
+        failures += 1
+    for c in COMB_CODE.positions:
+        reduced = PrefixCode(COMB_CODE.positions - {c}, 2)
         checks += 1
-        if rep.sum != 1:
+        if identity_sum(reduced, (1, 1, 1)).sum >= 1:
             failures += 1
-        for c in COMB_CODE.words:
-            reduced = PrefixCode(COMB_CODE.words - {c}, 2)
+    rng = random.Random(1234)
+    for n in range(1, 9):
+        code = PrefixCode.of(itertools.product((0, 1), repeat=n), 2)
+        denominator = 3**n
+        sums: dict[tuple[int, ...], Fraction] = {}
+        for x in itertools.product((0, 1), repeat=n):
+            rep = identity_sum(code, x)
+            sums[x] = rep.sum
             checks += 1
-            if identity_sum(reduced, (1, 1, 1)).sum >= 1:
+            if rep.sum != 1:
                 failures += 1
-        rng = random.Random(1234)
-        for n in range(1, 9):
-            code = PrefixCode.of(itertools.product((0, 1), repeat=n), 2)
-            denominator = 3**n
-            sums: dict[tuple[int, ...], Fraction] = {}
-            for x in itertools.product((0, 1), repeat=n):
-                rep = identity_sum(code, x)
-                sums[x] = rep.sum
-                checks += 1
-                if rep.sum != 1:
-                    failures += 1
-                # exact removal check via the per-word term decomposition
-                for c in code.words:
-                    term = Fraction(2 ** mismatch_count(c, x), denominator)
-                    checks += 1
-                    if rep.sum - term >= 1:
-                        failures += 1
-            # spot-check the decomposition against the operation itself
-            pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
-            if n <= 3:
-                pairs = itertools.product(sums.keys(), sorted(code.words))
-            else:
-                xs = list(sums.keys())
-                words = sorted(code.words)
-                pairs = [(rng.choice(xs), rng.choice(words)) for _ in range(10)]
-            for x, c in pairs:
-                reduced = PrefixCode(code.words - {c}, 2)
-                direct = identity_sum(reduced, x).sum
+            # exact removal check via the per-word term decomposition
+            for c in code.positions:
                 term = Fraction(2 ** mismatch_count(c, x), denominator)
                 checks += 1
-                if direct != sums[x] - term or direct >= 1:
+                if rep.sum - term >= 1:
                     failures += 1
-        return failures == 0, f"{checks} exact identity checks, {failures} failures"
-
-    return _battery("covering_identity", worker)
-
-
-def battery_free_group(data: SuiteData) -> BatteryResult:
-    def worker() -> tuple[bool, str]:
-        failures = 0
-        branched = [parse_word(w) for w in ("b", "aba", "aBa")]
-        result = subgroup_index(branched, 2)
-        if result.value is not None or result.graph.vertex_count != 3:
-            failures += 1
-        whole = subgroup_index([parse_word("a"), parse_word("b")], 2)
-        if whole.value != 1 or whole.rank != 2:
-            failures += 1
-        squares = [parse_word(w) for w in ("aa", "b", "abA")]
-        two = subgroup_index(squares, 2)
-        if two.value != 2 or two.rank != 3:
-            failures += 1
-        rng = random.Random(424242)
-        permutations = 0
-        for gens in (branched, [parse_word("a"), parse_word("b")], squares):
-            reference = fold(gens).canonical_form()
-            for _ in range(100):
-                permutations += 1
-                if fold(gens, order_rng=rng).canonical_form() != reference:
-                    failures += 1
-        return failures == 0, (
-            f"3 fixed instances + {permutations} fold-order permutations,"
-            f" {failures} failures"
-        )
-
-    return _battery("free_group", worker)
-
-
-def battery_hat_index(data: SuiteData) -> BatteryResult:
-    def worker() -> tuple[bool, str]:
-        failures = 0
-        finite_checks = 0
-        cache: dict[frozenset, bool] = {}
-
-        def hat_is_finite(zset: PositionSet) -> bool:
-            key = frozenset(hat(p) for p in zset if len(p) >= 2)
-            if key not in cache:
-                cache[key] = hat_index(zset, 2).is_finite
-            return cache[key]
-
-        degenerate = frozenset({()})
-        for zset, winner, total in zip(data.exhaustive, data.winners, data.krafts):
-            if zset.positions == degenerate:
-                continue  # empty responder word generates nothing; outside the criterion
-            if winner == 1:
-                finite_checks += 1
-                if not hat_is_finite(zset):
-                    failures += 1
-            if total == 1 and not hat_is_finite(zset) and winner != 2:
+        # spot-check the decomposition against the operation itself
+        pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
+        if n <= 3:
+            pairs = itertools.product(sums.keys(), sorted(code.positions))
+        else:
+            xs = list(sums.keys())
+            words = sorted(code.positions)
+            pairs = [(rng.choice(xs), rng.choice(words)) for _ in range(10)]
+        for x, c in pairs:
+            reduced = PrefixCode(code.positions - {c}, 2)
+            direct = identity_sum(reduced, x).sum
+            term = Fraction(2 ** mismatch_count(c, x), denominator)
+            checks += 1
+            if direct != sums[x] - term or direct >= 1:
                 failures += 1
-        return failures == 0, (
-            f"{finite_checks} winner-1 instances all finite-index, {failures} failures"
-        )
-
-    return _battery("hat_index", worker)
+    return failures == 0, f"{checks} exact identity checks, {failures} failures"
 
 
-def battery_moran_threshold(data: SuiteData) -> BatteryResult:
-    def worker() -> tuple[bool, str]:
-        failures = 0
-        ladder = geometric_ladder(8)
-        root = moran_dimension(ladder, 2)
-        if abs(root.d - 0.5) > 1e-9:
+def battery_free_group(data: SuiteData) -> tuple[bool, str]:
+    failures = 0
+    branched = [parse_word(w) for w in ("b", "aba", "aBa")]
+    result = subgroup_index(branched, 2)
+    if result.value is not None or result.graph.vertex_count != 3:
+        failures += 1
+    whole = subgroup_index([parse_word("a"), parse_word("b")], 2)
+    if whole.value != 1 or whole.rank != 2:
+        failures += 1
+    squares = [parse_word(w) for w in ("aa", "b", "abA")]
+    two = subgroup_index(squares, 2)
+    if two.value != 2 or two.rank != 3:
+        failures += 1
+    rng = random.Random(424242)
+    permutations = 0
+    for gens in (branched, [parse_word("a"), parse_word("b")], squares):
+        reference = fold(gens).canonical_form()
+        for _ in range(100):
+            permutations += 1
+            if fold(gens, order_rng=rng).canonical_form() != reference:
+                failures += 1
+    return failures == 0, (
+        f"3 fixed instances + {permutations} fold-order permutations,"
+        f" {failures} failures"
+    )
+
+
+def battery_hat_index(data: SuiteData) -> tuple[bool, str]:
+    failures = 0
+    finite_checks = 0
+    cache: dict[frozenset, bool] = {}
+
+    def hat_is_finite(zset: PositionSet) -> bool:
+        key = frozenset(hat(p) for p in zset if len(p) >= 2)
+        if key not in cache:
+            cache[key] = hat_index(zset, 2).is_finite
+        return cache[key]
+
+    degenerate = frozenset({()})
+    for zset, winner, total in zip(data.exhaustive, data.winners, data.krafts):
+        if zset.positions == degenerate:
+            continue  # empty responder word generates nothing; outside the criterion
+        if winner == 1:
+            finite_checks += 1
+            if not hat_is_finite(zset):
+                failures += 1
+        if total == 1 and not hat_is_finite(zset) and winner != 2:
             failures += 1
-        checked = 0
-        skipped = 0
-        for zset, total in zip(data.exhaustive, data.krafts):
-            if not zset.positions:
-                continue
-            if zset.min_length == 0:
-                skipped += 1  # the root-only instance has no unique exponent
-                continue
-            checked += 1
-            root = moran_dimension(zset, 2)
-            if root.below_half != (total < 1):
-                failures += 1
-            if root.residual >= 1e-12:
-                failures += 1
-        return failures == 0, (
-            f"ladder root + {checked} threshold agreements"
-            f" ({skipped} degenerate skipped), {failures} failures"
-        )
+    return failures == 0, (
+        f"{finite_checks} winner-1 instances all finite-index, {failures} failures"
+    )
 
-    return _battery("moran_threshold", worker)
+
+def battery_moran_threshold(data: SuiteData) -> tuple[bool, str]:
+    failures = 0
+    ladder = geometric_ladder(8)
+    root = moran_dimension(ladder, 2)
+    if abs(root.d - 0.5) > 1e-9:
+        failures += 1
+    checked = 0
+    skipped = 0
+    for zset, total in zip(data.exhaustive, data.krafts):
+        if not zset.positions:
+            continue
+        if zset.min_length == 0:
+            skipped += 1  # the root-only instance has no unique exponent
+            continue
+        checked += 1
+        root = moran_dimension(zset, 2)
+        if root.below_half != (total < 1):
+            failures += 1
+        if root.residual >= 1e-12:
+            failures += 1
+    return failures == 0, (
+        f"ladder root + {checked} threshold agreements"
+        f" ({skipped} degenerate skipped), {failures} failures"
+    )
 
 
 def _mc_pairs() -> list[tuple[PrefixCode, Measure]]:
@@ -441,40 +401,37 @@ def _mc_pairs() -> list[tuple[PrefixCode, Measure]]:
     ]
 
 
-def battery_measures_monte_carlo(data: SuiteData) -> BatteryResult:
-    def worker() -> tuple[bool, str]:
-        start = time.monotonic()
-        failures = 0
-        uniform = MeasureSpec.uniform(2)
-        for zset, total in zip(data.exhaustive, data.krafts):
-            if measure_criterion(zset, uniform).sum != total:
-                failures += 1
-        weighted_checks = 0
-        for k, depth in ((2, 3), (3, 2)):
-            mu = Measure.uniform(k)
-            for words in enumerate_antichain_codes(k, depth):
-                code = PrefixCode(words, k)
-                for x in itertools.product(range(k), repeat=depth):
-                    weighted_checks += 1
-                    if weighted_identity(code, x, mu).sum != identity_sum(code, x).sum:
-                        failures += 1
-        pairs = _mc_pairs()
-        for code, measure in pairs:
-            report = monte_carlo_hit(code, None, measure, MC_TRIALS, MC_SEED)
-            if abs(report.empirical - float(report.exact)) > 3 * report.sigma:
-                failures += 1
-        elapsed = time.monotonic() - start
-        passed = failures == 0 and elapsed <= 60
-        return passed, (
-            f"{len(data.exhaustive)} uniform criterion sums, {weighted_checks} weighted"
-            f" identities, {len(pairs)} Monte Carlo pairs, {failures} failures,"
-            f" {elapsed:.1f}s (limit 60s)"
-        )
-
-    return _battery("measures_monte_carlo", worker)
+def battery_measures_monte_carlo(data: SuiteData) -> tuple[bool, str]:
+    start = time.monotonic()
+    failures = 0
+    uniform = MeasureSpec.uniform(2)
+    for zset, total in zip(data.exhaustive, data.krafts):
+        if measure_criterion(zset, uniform).sum != total:
+            failures += 1
+    weighted_checks = 0
+    for k, depth in ((2, 3), (3, 2)):
+        mu = Measure.uniform(k)
+        for words in enumerate_antichain_codes(k, depth):
+            code = PrefixCode(words, k)
+            for x in itertools.product(range(k), repeat=depth):
+                weighted_checks += 1
+                if weighted_identity(code, x, mu).sum != identity_sum(code, x).sum:
+                    failures += 1
+    pairs = _mc_pairs()
+    for code, measure in pairs:
+        report = monte_carlo_hit(code, None, measure, MC_TRIALS, MC_SEED)
+        if abs(report.empirical - float(report.exact)) > 3 * report.sigma:
+            failures += 1
+    elapsed = time.monotonic() - start
+    passed = failures == 0 and elapsed <= 60
+    return passed, (
+        f"{len(data.exhaustive)} uniform criterion sums, {weighted_checks} weighted"
+        f" identities, {len(pairs)} Monte Carlo pairs, {failures} failures,"
+        f" {elapsed:.1f}s (limit 60s)"
+    )
 
 
-BATTERIES: dict[str, Callable[[SuiteData], BatteryResult]] = {
+BATTERIES: dict[str, Callable[[SuiteData], tuple[bool, str]]] = {
     "solver_oracle": battery_solver_oracle,
     "kraft_necessity": battery_kraft_necessity,
     "minimal_extraction": battery_minimal_extraction,
@@ -487,10 +444,17 @@ BATTERIES: dict[str, Callable[[SuiteData], BatteryResult]] = {
 }
 
 
+def run_battery(name: str, data: SuiteData) -> BatteryResult:
+    """Run the named battery on the shared data and time it."""
+    start = time.monotonic()
+    passed, detail = BATTERIES[name](data)
+    return BatteryResult(name, passed, detail, time.monotonic() - start)
+
+
 def run_batteries(names: Iterable[str] | None = None) -> list[BatteryResult]:
     selected = list(BATTERIES) if names is None else list(names)
     unknown = [n for n in selected if n not in BATTERIES]
     if unknown:
         raise ValueError(f"unknown batteries: {', '.join(unknown)}")
     data = SuiteData()
-    return [BATTERIES[name](data) for name in selected]
+    return [run_battery(name, data) for name in selected]

@@ -11,19 +11,7 @@ image maximal.
 
 import pytest
 
-from opengame.suite import (
-    BatteryResult,
-    SuiteData,
-    battery_code_equivalence,
-    battery_covering_identity,
-    battery_free_group,
-    battery_hat_index,
-    battery_kraft_necessity,
-    battery_measures_monte_carlo,
-    battery_minimal_extraction,
-    battery_moran_threshold,
-    battery_solver_oracle,
-)
+from opengame.suite import BatteryResult, SuiteData, run_battery
 
 
 @pytest.fixture(scope="module")
@@ -31,53 +19,53 @@ def data() -> SuiteData:
     return SuiteData()
 
 
-def _run(battery, data) -> BatteryResult:
-    result = battery(data)
+def _run(name: str, data: SuiteData) -> BatteryResult:
+    result = run_battery(name, data)
     print()
     print(result.line())
     return result
 
 
 def test_criterion_1_solver_matches_oracle(data):
-    result = _run(battery_solver_oracle, data)
+    result = _run("solver_oracle", data)
     assert result.passed, result.detail
 
 
 def test_criterion_2_kraft_necessity(data):
-    result = _run(battery_kraft_necessity, data)
+    result = _run("kraft_necessity", data)
     assert result.passed, result.detail
 
 
 def test_criterion_3_minimal_extraction(data):
-    result = _run(battery_minimal_extraction, data)
+    result = _run("minimal_extraction", data)
     assert result.passed, result.detail
 
 
 def test_criterion_4_code_equivalence(data):
-    result = _run(battery_code_equivalence, data)
+    result = _run("code_equivalence", data)
     assert result.passed, result.detail
 
 
 def test_criterion_5_covering_identity(data):
-    result = _run(battery_covering_identity, data)
+    result = _run("covering_identity", data)
     assert result.passed, result.detail
 
 
 def test_criterion_6_free_group(data):
-    result = _run(battery_free_group, data)
+    result = _run("free_group", data)
     assert result.passed, result.detail
 
 
 def test_criterion_7_hat_index(data):
-    result = _run(battery_hat_index, data)
+    result = _run("hat_index", data)
     assert result.passed, result.detail
 
 
 def test_criterion_8_moran_threshold(data):
-    result = _run(battery_moran_threshold, data)
+    result = _run("moran_threshold", data)
     assert result.passed, result.detail
 
 
 def test_criterion_9_measures_monte_carlo(data):
-    result = _run(battery_measures_monte_carlo, data)
+    result = _run("measures_monte_carlo", data)
     assert result.passed, result.detail

@@ -44,7 +44,8 @@ def _stage_strategy(moves: tuple[int, ...], k: int = 2) -> Strategy:
 
 def _encode(p: tuple, x: XVector, k: int) -> tuple:
     """Block encoding of one position under the lift of a per-stage vector."""
-    (word,) = history_code(PositionSet([p]), x.as_mixer(PositionSet([p])), k).words
+    z = PositionSet([p])
+    (word,) = history_code(z, x.as_mixer(z), k).positions
     return word
 
 
@@ -68,8 +69,8 @@ def test_is_maximal_examples():
     for n in range(1, 7):
         code = PrefixCode.of(itertools.product((0, 1), repeat=n), 2)
         assert is_maximal(code)
-        for w in code.words:
-            assert not is_maximal(PrefixCode(code.words - {w}, 2))
+        for w in code.positions:
+            assert not is_maximal(PrefixCode(code.positions - {w}, 2))
 
 
 def test_is_maximal_rejects_non_prefix_code():
@@ -110,12 +111,12 @@ def test_cx_encode_zero_vector_is_hat(p):
 def test_cx_code_examples():
     z = PositionSet([(0, 0), (0, 1)])
     for x in xvectors_enumerate(2, 1):
-        assert history_code(z, x.as_mixer(z), 2).words == {(0,), (1,)}
+        assert history_code(z, x.as_mixer(z), 2).positions == {(0,), (1,)}
     z2 = PositionSet([(0, 0), (1, 0)])
     x1 = XVector.from_bits((1,))
-    assert history_code(z2, x1.as_mixer(z2), 2).words == {(0,), (1,)}
+    assert history_code(z2, x1.as_mixer(z2), 2).positions == {(0,), (1,)}
     x0 = XVector.from_bits((0,))
-    assert history_code(z2, x0.as_mixer(z2), 2).words == {(0,)}
+    assert history_code(z2, x0.as_mixer(z2), 2).positions == {(0,)}
     # a per-stage vector lifts to the history mixer h -> x_{|h|//2}(h[-1])
     for z in (z2, DEPTH4_RESPONDER_WIN):
         histories = mixer_histories(z)
@@ -139,7 +140,7 @@ def test_lifted_vector_encodes_each_block_per_stage(data):
         tuple((entries[i][p[2 * i]] + p[2 * i + 1]) % k for i in range(len(p) // 2))
         for p in positions
     }
-    assert history_code(z, x.as_mixer(z), k).words == expected
+    assert history_code(z, x.as_mixer(z), k).positions == expected
 
 
 def test_xvectors_enumerate_counts():
@@ -243,11 +244,10 @@ def test_build_Z_round_trip_matches_maximality():
 
 
 def test_built_Z_is_consistent_with_its_strategy():
-    from opengame.solver import consistent_positions
-
     s1 = _stage_strategy((1, 1, 1))
     z = build_Z_from_code(COMB_CODE, s1)
-    assert consistent_positions(z, s1).positions == z.positions
+    for p in z:
+        assert all(s1.move(p[:i]) == p[i] for i in range(0, len(p), 2)), p
 
 
 def test_extract_generating_subset_bound_and_index():
@@ -262,7 +262,8 @@ def test_extract_generating_subset_bound_and_index():
         subset = extract_generating_subset(z, x, k)
         assert len(subset.positions) <= bound
         assert subset.positions <= z.positions
-        gens = [word_from_position(w) for w in history_code(subset, x.as_mixer(subset), k).words]
+        image = history_code(subset, x.as_mixer(subset), k)
+        gens = [word_from_position(w) for w in image.positions]
         assert subgroup_index(gens, k).is_finite
 
 

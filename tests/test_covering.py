@@ -15,10 +15,8 @@ from opengame.covering import (
     averaged_identity,
     exact_hit_probability,
     identity_sum,
-    interleave,
-    lift_count,
-    lift_enumerate,
     measure_criterion,
+    mismatch_count,
     monte_carlo_hit,
     strategy_consistent_lifts,
     weighted_identity,
@@ -28,20 +26,6 @@ from opengame.suite import COMB_CODE, enumerate_antichain_codes
 from opengame.tree import PositionSet
 
 FULL_SQUARE = PrefixCode.of([(a, b) for a in (0, 1) for b in (0, 1)], 2)
-
-
-def test_lift_count_examples():
-    assert lift_count((0, 1), (1, 0)) == 4
-    assert lift_count((0, 0), (1, 0)) == 2
-    assert lift_count((0, 1), (0, 1)) == 1
-
-
-def test_lift_enumerate_examples():
-    assert len(lift_enumerate((0, 1))) == 4
-    assert lift_enumerate((0, 0)) == frozenset(
-        {((0, 1), (0, 1)), ((0, -1), (0, -1))}
-    )
-    assert lift_enumerate(()) == frozenset({()})
 
 
 def test_strategy_consistent_lifts_two_block_patterns():
@@ -67,28 +51,33 @@ def test_consistent_lifts_count_matches_formula_exhaustively():
     for n in range(0, 7):
         for c in itertools.product((0, 1), repeat=n):
             for x in itertools.product((0, 1), repeat=n):
-                assert len(strategy_consistent_lifts(c, x)) == lift_count(c, x), (c, x)
+                count = len(strategy_consistent_lifts(c, x))
+                assert count == 2 ** mismatch_count(c, x), (c, x)
 
 
 def test_consistent_lifts_are_reduction_free_lifts():
     for n in range(0, 4):
         for c in itertools.product((0, 1), repeat=n):
             for x in itertools.product((0, 1), repeat=n):
-                lifts = strategy_consistent_lifts(c, x)
-                assert lifts <= lift_enumerate(interleave(x, c))
+                play = tuple(s for block in zip(x, c) for s in block)
+                for lift in strategy_consistent_lifts(c, x):
+                    # a sign assignment of the play with no adjacent inverse pair
+                    assert tuple(a for a, _ in lift) == play
+                    assert all(sign in (1, -1) for _, sign in lift)
+                    assert all(b != (a[0], -a[1]) for a, b in zip(lift, lift[1:]))
 
 
 def test_consistent_lifts_ternary_sample():
     for c in itertools.product((0, 1, 2), repeat=3):
         x = (1, 2, 0)
-        assert len(strategy_consistent_lifts(c, x)) == lift_count(c, x)
+        assert len(strategy_consistent_lifts(c, x)) == 2 ** mismatch_count(c, x)
 
 
 def test_identity_sum_paper_code():
     report = identity_sum(COMB_CODE, (1, 1, 1))
     assert report.sum == 1 and report.verdict == EQUALS_ONE
-    for c in COMB_CODE.words:
-        reduced = PrefixCode(COMB_CODE.words - {c}, 2)
+    for c in COMB_CODE.positions:
+        reduced = PrefixCode(COMB_CODE.positions - {c}, 2)
         assert identity_sum(reduced, (1, 1, 1)).verdict == LESS_THAN_ONE
 
 
@@ -159,6 +148,10 @@ def test_identity_sum_rejects_non_prefix_code():
         identity_sum(PrefixCode.of([(0,), (0, 1)], 2), (0, 0))
     with pytest.raises(ValueError):
         identity_sum(COMB_CODE, (1, 1))  # x too short
+    maximal = PrefixCode.of([(0,), (1, 0), (1, 1)], 2)
+    for x in ((0, 2), (-1, 0)):  # symbols outside the alphabet
+        with pytest.raises(ValueError):
+            identity_sum(maximal, x)
 
 
 def test_averaged_identity_examples():
@@ -184,7 +177,7 @@ def test_measure_criterion_examples():
 def test_measure_criterion_uniform_equals_kraft():
     uniform = MeasureSpec.uniform(2)
     for words in enumerate_antichain_codes(2, 2):
-        z = PositionSet(tuple(interleave((0,) * len(w), w) for w in words))
+        z = PositionSet(tuple(s for a in w for s in (0, a)) for w in words)
         assert measure_criterion(z, uniform).sum == kraft_sum(z, 2)
 
 

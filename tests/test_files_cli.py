@@ -197,6 +197,9 @@ def test_cli_identity_weighted_mc(tmp_path, code_file, capsys):
     assert main(["identity", code_file, "--averaged", "-n", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["sum"] == "1/1"
 
+    assert main(["identity", code_file, "--x", "115"]) == 2  # 5 is outside 0..1
+    assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+
     mfile = tmp_path / "m.json"
     mfile.write_text('{"kind": "measure", "weights": {"0": "1/3", "1": "2/3"}}')
     assert main(["weighted", code_file, "--measure", str(mfile), "--x", "111"]) == 0
@@ -205,6 +208,10 @@ def test_cli_identity_weighted_mc(tmp_path, code_file, capsys):
     assert main(["mc", code_file, "--trials", "2000", "--seed", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["exact"] == "1/1" and payload["within_3_sigma"] is True
+
+    with pytest.raises(SystemExit) as exc:  # mc has no --x
+        main(["mc", code_file, "--x", "111"])
+    assert exc.value.code == 2
 
 
 def test_cli_usage_errors(tmp_path, game_file, capsys):
@@ -229,6 +236,10 @@ def test_cli_suite_single_battery(capsys):
     assert main(["suite", "--only", "free_group"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS free_group")
+
+    assert main(["suite", "--only", "nope"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "unknown batteries: nope", "kind": "usage"}
 
 
 def test_cli_module_entry_point(game_file):

@@ -8,7 +8,6 @@ from opengame.freegroup import (
     LabeledGraph,
     fold,
     hat_index,
-    inverse_word,
     membership,
     parse_word,
     reduce_word,
@@ -40,7 +39,8 @@ def test_reduce_word_idempotent(w):
 
 @given(letters)
 def test_word_times_inverse_reduces_to_identity(w):
-    assert reduce_word(reduce_word(w) + inverse_word(reduce_word(w))) == ()
+    inverse = tuple((gen, -sign) for gen, sign in reversed(reduce_word(w)))
+    assert reduce_word(reduce_word(w) + inverse) == ()
 
 
 def test_parse_and_str_round_trip():
@@ -128,7 +128,8 @@ def test_membership_closed_under_short_products():
         [parse_word("aa"), parse_word("b"), parse_word("abA")],
     ]
     for gens in gen_sets:
-        pool = [reduce_word(g) for g in gens] + [inverse_word(g) for g in gens]
+        pool = [reduce_word(g) for g in gens]
+        pool += [tuple((gen, -sign) for gen, sign in reversed(g)) for g in pool]
         for r in (1, 2, 3):
             for combo in itertools.product(pool, repeat=r):
                 word = reduce_word(tuple(itertools.chain.from_iterable(combo)))
@@ -151,7 +152,7 @@ def test_hat_index_matches_zero_vector_image():
     for z in sets:
         depth = max(len(p) // 2 for p in z)
         image = history_code(z, XVector([(0, 0)] * depth, alphabet_size=2).as_mixer(z), 2)
-        direct = subgroup_index([word_from_position(w) for w in image.words if w], 2)
+        direct = subgroup_index([word_from_position(w) for w in image.positions if w], 2)
         via_hat = hat_index(z, 2)
         assert direct.value == via_hat.value
         assert direct.graph.canonical_form() == via_hat.graph.canonical_form()

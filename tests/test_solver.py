@@ -13,7 +13,6 @@ from opengame.solver import (
     Strategy,
     StrategyError,
     brute_force_oracle,
-    consistent_positions,
     extract_minimal_size,
     solve,
     verify_strategy,
@@ -267,18 +266,9 @@ def test_extracted_strategies_verify_on_random_instances():
             assert verify_strategy(game, report.strategy)
 
 
-def test_consistent_positions():
-    z = PositionSet([(0, 0), (1, 0)])
-    kept = consistent_positions(z, Strategy({(): 0}))
-    assert kept.positions == {(0, 0)}
-    kept2 = consistent_positions(PositionSet([(0, 0)]), Strategy({(): 0}))
-    assert kept2.positions == {(0, 0)}
-
-
-def test_consistent_positions_partial_explicit_strategy_errors():
-    s = Strategy({(): 0})
+def test_partial_explicit_strategy_errors():
     with pytest.raises(StrategyError):
-        consistent_positions(PositionSet([(0, 0, 1, 0)]), s)
+        Strategy({(): 0}).move((0, 0))
 
 
 def test_strategy_parity_checks():
