@@ -20,7 +20,6 @@ from .codes import (
     is_bifix_code,
     is_maximal,
     is_prefix_code,
-    xvectors_enumerate,
 )
 from .covering import (
     IdentityReport,

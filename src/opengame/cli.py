@@ -6,12 +6,13 @@ with exact rationals rendered as "numerator/denominator" strings.  Exit
 status: 0 success, 1 a checked property was violated, 2 usage, file or
 budget errors, 3 any other exception inside a command; exits 2 and 3
 print one JSON line {"error": ..., "kind": "usage" | "internal"} on
-stderr.  ``codes equiv`` checks the winner/maximality equivalence over
-every history mixer, where it is a theorem, so exit 1 there flags a
-defect; with ``--per-stage`` it enumerates the normalized per-stage
-vectors instead and exits 1 where only their converse fails.  The
-environment variable OPENGAME_BUDGET caps the nodes the solver visits
-when --budget is not given.
+stderr.  ``codes equiv`` decides by a pair test whether every
+history-mixer image is maximal and compares that with the solved winner;
+the equivalence is a theorem there, so exit 1 flags a defect.  With
+``--per-stage`` it decides the same over per-stage vectors and exits 1
+where only their converse fails.  The environment variable
+OPENGAME_BUDGET caps the nodes the solver visits when --budget is not
+given.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ from fractions import Fraction
 
 from . import files
 from .codes import (
-    BudgetError,
-    PrefixCode,
     equivalence_check,
     history_code,
-    history_equivalence_check,
     is_bifix_code,
     is_maximal,
     is_prefix_code,
@@ -171,8 +169,7 @@ def _cmd_codes_cx(args: argparse.Namespace) -> int:
 
 def _cmd_codes_equiv(args: argparse.Namespace) -> int:
     k, zset = files.load_game(args.instance)
-    check = equivalence_check if args.per_stage else history_equivalence_check
-    report = check(zset, k)
+    report = equivalence_check(zset, k, per_stage=args.per_stage)
     _emit(report.to_json_dict())
     return EXIT_OK if report.equiv_holds else EXIT_VIOLATION
 
@@ -371,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (files.FileFormatError, BudgetExceededError, BudgetError, ValueError) as exc:
+    except (files.FileFormatError, BudgetExceededError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

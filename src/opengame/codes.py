@@ -10,7 +10,9 @@ and enters the encoding through ``XVector.as_mixer``.  Positions
 consistent with different mover strategies collapse to equal words,
 which is what breaks maximality of the image.  Over history mixers the
 mover wins a minimal-size game iff every image is a maximal prefix code;
-over per-stage vectors only the forward direction holds.
+over per-stage vectors only the forward direction holds.  Both questions
+are decided pair by pair (``equivalence_check``); enumerating every
+history mixer (``history_equivalence_check``) is the reference.
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .criteria import is_minimal_size, uniform_weight, word_sum
-from .solver import DEFAULT_BUDGET, GameInstance, Strategy, solve
-from .tree import Position, PositionSet, is_prefix
+from .criteria import uniform_weight, word_sum
+from .solver import DEFAULT_BUDGET, BudgetExceededError, GameInstance, Strategy, solve
+from .tree import Position, PositionSet, hat, is_prefix
 
 ENUMERATION_BUDGET = 1 << 20
-
-
-class BudgetError(RuntimeError):
-    """Enumeration budget exceeded."""
 
 
 class PrefixCode(PositionSet):
@@ -62,13 +60,9 @@ def is_prefix_code(code: PrefixCode) -> bool:
 
 def is_bifix_code(code: PrefixCode) -> bool:
     """Prefix-free and suffix-free."""
-    if not is_prefix_code(code):
-        return False
-    for w in code.positions:
-        for j in range(1, len(w) + 1):
-            if w[j:] in code.positions and w[j:] != w:
-                return False
-    return True
+    return is_prefix_code(code) and not any(
+        w[j:] in code.positions for w in code.positions for j in range(1, len(w) + 1)
+    )
 
 
 def _maximal_by_kraft(code: PrefixCode) -> bool:
@@ -111,10 +105,9 @@ class XVector:
     Coordinate i is a function on symbols given as a lookup table; the
     encoded symbol of block i is entries[i][mover] + responder (mod k),
     which is the history mixer ``as_mixer`` returns.  The normalized form
-    fixes entry(0) = 0; the full function space is used only for
-    cross-validation.  That normalization does not carry over to
-    ``HistoryMixer``: there it drops images and leaves converse
-    counterexamples to the equivalence.
+    fixes entry(0) = 0, which changes no image's maximality.  That
+    normalization does not carry over to ``HistoryMixer``: there it drops
+    images and leaves converse counterexamples to the equivalence.
     """
 
     def __init__(self, entries: Iterable[Iterable[int]], alphabet_size: int | None = None):
@@ -214,40 +207,22 @@ def mixer_histories(Z: PositionSet) -> list[Position]:
     return sorted({p[: 2 * i + 1] for p in Z for i in range(len(p) // 2)})
 
 
-def _tables(k: int, full: bool) -> list[tuple[int, ...]]:
-    if full:
-        return sorted(itertools.product(range(k), repeat=k))
-    return sorted((0,) + rest for rest in itertools.product(range(k), repeat=k - 1))
-
-
-def xvectors_enumerate(
-    k: int, depth: int, full: bool = False, budget: int = ENUMERATION_BUDGET
-) -> list[XVector]:
-    """All mixing vectors of the given depth, normalized unless ``full``.
-
-    Normalization keeps one representative per equivalence class (the
-    table value at 0 can be absorbed into the encoded symbol), shrinking
-    the space from k^(k*depth) to k^((k-1)*depth).
-    """
-    tables = _tables(k, full)
-    count = len(tables) ** depth
-    if count > budget:
-        raise BudgetError(f"{count} vectors exceed the budget {budget}")
-    return [
-        XVector(combo, alphabet_size=k)
-        for combo in itertools.product(tables, repeat=depth)
-    ]
-
-
 @dataclass
 class EquivalenceReport:
-    """Outcome of the winner/maximality equivalence check."""
+    """Outcome of the equivalence check: a mixer whose image is not a maximal
+    prefix code, or None, and the number of mixers or pairs examined."""
 
     winner: int
-    all_maximal: bool
-    equiv_holds: bool
     witness: XVector | HistoryMixer | None
     checked: int
+
+    @property
+    def all_maximal(self) -> bool:
+        return self.witness is None
+
+    @property
+    def equiv_holds(self) -> bool:
+        return (self.winner == 1) == self.all_maximal
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,59 +237,87 @@ class EquivalenceReport:
 def _require_minimal_antichain(Z: PositionSet, k: int, caller: str) -> None:
     if not Z.antichain:
         raise ValueError(f"{caller} requires an antichain")
-    if not is_minimal_size(Z, k):
+    # the images are of the listed positions, so no closed-form tail counts
+    if word_sum(map(hat, Z), uniform_weight(k)) != 1:
         raise ValueError(f"{caller} requires a minimal-size set")
 
 
-def _first_non_maximal_image(
-    Z: PositionSet,
-    k: int,
-    winner: int,
-    mixers: Iterable[tuple[XVector | HistoryMixer, HistoryMixer]],
-) -> EquivalenceReport:
-    """Try (reported mixer, history mixer) pairs in order; the first failing one is the witness."""
-    witness = None
-    checked = 0
-    for reported, mixer in mixers:
-        checked += 1
-        image = history_code(Z, mixer, k)
-        if not (is_prefix_code(image) and is_maximal(image)):
-            witness = reported
-            break
-    all_maximal = witness is None
-    return EquivalenceReport(
-        winner=winner,
-        all_maximal=all_maximal,
-        equiv_holds=(winner == 1) == all_maximal,
-        witness=witness,
-        checked=checked,
+def _is_maximal_image(Z: PositionSet, mixer: HistoryMixer, k: int) -> bool:
+    image = history_code(Z, mixer, k)
+    return is_prefix_code(image) and is_maximal(image)
+
+
+def _first_difference(p: Position, q: Position) -> int:
+    return next((i for i, (a, b) in enumerate(zip(p, q)) if a != b), min(len(p), len(q)))
+
+
+def _history_mergeable(p: Position, q: Position) -> bool:
+    """Some history mixer makes the images comparable iff p, q split at a mover move."""
+    return _first_difference(p, q) % 2 == 0
+
+
+def _history_witness(Z: PositionSet, k: int, p: Position, q: Position) -> tuple:
+    # x = 0 keeps p's blocks as its responder symbols; on q's histories past
+    # the split, which p never reads, x shifts q's blocks onto p's
+    table = dict.fromkeys(mixer_histories(Z), 0)
+    for j in range(_first_difference(p, q) // 2, min(len(p), len(q)) // 2):
+        table[q[: 2 * j + 1]] = (p[2 * j + 1] - q[2 * j + 1]) % k
+    mixer = HistoryMixer(table, k)
+    return mixer, mixer
+
+
+def _stage_mergeable(p: Position, q: Position) -> bool:
+    """Some per-stage vector makes the images comparable iff the responder
+    symbols agree at every common block where the mover symbols agree."""
+    return all(
+        p[2 * i] != q[2 * i] or p[2 * i + 1] == q[2 * i + 1]
+        for i in range(min(len(p), len(q)) // 2)
     )
 
 
+def _stage_witness(Z: PositionSet, k: int, p: Position, q: Position) -> tuple:
+    # one constraint per block with distinct mover symbols: the larger one's
+    # entry absorbs the difference, so entry 0 stays 0
+    entries = [[0] * k for _ in range(max(len(z) // 2 for z in Z))]
+    for i in range(min(len(p), len(q)) // 2):
+        (a, b), (c, d) = sorted((p[2 * i : 2 * i + 2], q[2 * i : 2 * i + 2]))
+        if a != c:
+            entries[i][c] = (b - d) % k
+    x = XVector(entries, alphabet_size=k)
+    return x, x.as_mixer(Z)
+
+
 def equivalence_check(
-    Z: PositionSet,
-    k: int,
-    full: bool = False,
-    budget: int = ENUMERATION_BUDGET,
-    solve_budget: int = DEFAULT_BUDGET,
+    Z: PositionSet, k: int, per_stage: bool = False, solve_budget: int = DEFAULT_BUDGET
 ) -> EquivalenceReport:
     """Compare the solved winner with maximality of every block-code image.
 
-    Requires a minimal-size antichain.  Each per-stage vector is encoded
-    through its lift ``XVector.as_mixer``.  Only the forward direction holds
-    for per-stage vectors: if Player 1 wins, the image is a maximal prefix
-    code for every mixing vector.  The converse fails, e.g. on the depth-4
-    responder win {0000, 0100, 1001, 1101}, whose every image is maximal;
-    ``equiv_holds`` is then false.  ``history_equivalence_check`` states the
-    equivalence that does hold.  Vectors are checked in lexicographic table
-    order, so a reported witness (an image that is not a maximal prefix
-    code) is the least one.
+    Requires a minimal-size antichain.  Every image has Kraft sum 1, so it
+    is not maximal iff two positions get comparable images, and that is
+    decided pair by pair.  Over history mixers (the mover wins iff no pair
+    merges) it suffices to compare sorted neighbours: the first difference
+    of any pair is the least among the neighbours between them.  With
+    ``per_stage`` every pair is compared and only the forward direction
+    holds: no pair of the depth-4 responder win {0000, 0100, 1001, 1101}
+    merges, so ``equiv_holds`` is false.  A witness's image is checked to
+    be non-maximal before it is reported.
     """
     _require_minimal_antichain(Z, k, "equivalence_check")
     winner = solve(GameInstance(k, Z), budget=solve_budget).winner
-    depth = max((len(p) // 2 for p in Z), default=0)
-    vectors = xvectors_enumerate(k, depth, full=full, budget=budget)
-    return _first_non_maximal_image(Z, k, winner, ((x, x.as_mixer(Z)) for x in vectors))
+    elems = Z.sorted_positions()
+    if per_stage:
+        pairs, mergeable, build = itertools.combinations(elems, 2), _stage_mergeable, _stage_witness
+    else:
+        pairs, mergeable, build = zip(elems, elems[1:]), _history_mergeable, _history_witness
+    checked = 0
+    for p, q in pairs:
+        checked += 1
+        if mergeable(p, q):
+            witness, mixer = build(Z, k, p, q)
+            if _is_maximal_image(Z, mixer, k):
+                raise AssertionError(f"the witness for {p!r}, {q!r} leaves the image maximal")
+            return EquivalenceReport(winner, witness, checked)
+    return EquivalenceReport(winner, None, checked)
 
 
 def history_equivalence_check(
@@ -332,23 +335,22 @@ def history_equivalence_check(
     Converse: for a winning responder strategy s the mixer x(h) = -s(h)
     maps no position of Z to a prefix of 0^n, so its image is not maximal.
 
-    Every function on the odd-length prefixes of Z is tried, unnormalized
-    (values elsewhere do not change the image), and independently of any
-    strategy the solver produces.  Mixers are tried in lexicographic order
-    of their values on the sorted histories, so a reported witness is the
-    least one.
+    The enumerating reference for ``equivalence_check``: every function on
+    the odd-length prefixes of Z is tried, independently of any strategy
+    the solver produces, in lexicographic order of its values on the
+    sorted histories, so a reported witness is the least one.
     """
     _require_minimal_antichain(Z, k, "history_equivalence_check")
     histories = mixer_histories(Z)
     count = k ** len(histories)
     if count > budget:
-        raise BudgetError(f"{count} history mixers exceed the budget {budget}")
+        raise BudgetExceededError(f"{count} history mixers exceed the budget {budget}")
     winner = solve(GameInstance(k, Z), budget=solve_budget).winner
-    mixers = (
-        HistoryMixer(dict(zip(histories, values)), k)
-        for values in itertools.product(range(k), repeat=len(histories))
-    )
-    return _first_non_maximal_image(Z, k, winner, ((m, m) for m in mixers))
+    for checked, values in enumerate(itertools.product(range(k), repeat=len(histories)), 1):
+        mixer = HistoryMixer(dict(zip(histories, values)), k)
+        if not _is_maximal_image(Z, mixer, k):
+            return EquivalenceReport(winner, mixer, checked)
+    return EquivalenceReport(winner, None, count)
 
 
 def build_Z_from_code(code: PrefixCode, s1: Strategy) -> PositionSet:
@@ -377,8 +379,7 @@ def extract_generating_subset(
     chosen words back to positions.  The subset has at most
     max_len * (k-1) + 1 elements.
     """
-    if not is_minimal_size(Z, k):
-        raise ValueError("extract_generating_subset requires a minimal-size set")
+    _require_minimal_antichain(Z, k, "extract_generating_subset")
     report = solve(GameInstance(k, Z), budget=solve_budget)
     if report.winner != 1:
         raise ValueError("extract_generating_subset requires a Player-1 win")

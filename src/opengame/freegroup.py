@@ -11,6 +11,7 @@ in both directions, and then the index is the vertex count.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -140,9 +141,9 @@ class LabeledGraph:
         """
         order = sorted(self.labels)
         numbering = {self.basepoint: 0}
-        queue = [self.basepoint]
+        queue = deque([self.basepoint])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for label in order:
                 for w in (self.out_vertex(v, label), self.in_vertex(v, label)):
                     if w is not None and w not in numbering:

@@ -1,11 +1,11 @@
 import itertools
+import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from opengame.codes import (
-    BudgetError,
     HistoryMixer,
     PrefixCode,
     XVector,
@@ -19,12 +19,11 @@ from opengame.codes import (
     is_maximal,
     is_prefix_code,
     mixer_histories,
-    xvectors_enumerate,
 )
 from opengame.criteria import is_minimal_size, kraft_sum
 from opengame.freegroup import subgroup_index, word_from_position
-from opengame.solver import Strategy
-from opengame.suite import COMB_CODE, enumerate_antichain_codes
+from opengame.solver import BudgetExceededError, GameInstance, Strategy, solve
+from opengame.suite import COMB_CODE, enumerate_antichain_codes, geometric_ladder
 from opengame.tree import PositionSet, hat
 
 FULL_SQUARE = PrefixCode.of([(a, b) for a in (0, 1) for b in (0, 1)], 2)
@@ -40,6 +39,17 @@ def _stage_strategy(moves: tuple[int, ...], k: int = 2) -> Strategy:
             for p in itertools.product(range(k), repeat=2 * i)
         }
     )
+
+
+def _vectors(k: int, depth: int, full: bool = False) -> list[XVector]:
+    """Every per-stage vector of the given depth; entry 0 fixed at 0 unless ``full``."""
+    tables = [t for t in itertools.product(range(k), repeat=k) if full or t[0] == 0]
+    return [XVector(c, alphabet_size=k) for c in itertools.product(tables, repeat=depth)]
+
+
+def _all_maximal(z: PositionSet, k: int, vectors) -> bool:
+    images = (history_code(z, x.as_mixer(z), k) for x in vectors)
+    return all(is_prefix_code(image) and is_maximal(image) for image in images)
 
 
 def _encode(p: tuple, x: XVector, k: int) -> tuple:
@@ -110,7 +120,7 @@ def test_cx_encode_zero_vector_is_hat(p):
 
 def test_cx_code_examples():
     z = PositionSet([(0, 0), (0, 1)])
-    for x in xvectors_enumerate(2, 1):
+    for x in _vectors(2, 1):
         assert history_code(z, x.as_mixer(z), 2).positions == {(0,), (1,)}
     z2 = PositionSet([(0, 0), (1, 0)])
     x1 = XVector.from_bits((1,))
@@ -120,7 +130,7 @@ def test_cx_code_examples():
     # a per-stage vector lifts to the history mixer h -> x_{|h|//2}(h[-1])
     for z in (z2, DEPTH4_RESPONDER_WIN):
         histories = mixer_histories(z)
-        for x in xvectors_enumerate(2, 2, full=True):
+        for x in _vectors(2, 2, full=True):
             mixer = HistoryMixer({h: x.entries[len(h) // 2][h[-1]] for h in histories}, 2)
             assert x.as_mixer(z) == mixer
 
@@ -143,14 +153,6 @@ def test_lifted_vector_encodes_each_block_per_stage(data):
     assert history_code(z, x.as_mixer(z), k).positions == expected
 
 
-def test_xvectors_enumerate_counts():
-    assert len(xvectors_enumerate(2, 2)) == 4
-    assert len(xvectors_enumerate(3, 1)) == 9
-    assert len(xvectors_enumerate(2, 0)) == 1
-    assert len(xvectors_enumerate(2, 1, full=True)) == 4
-    assert len(xvectors_enumerate(3, 1, full=True)) == 27
-
-
 def test_xvector_normalization_and_shorthand():
     x = XVector.from_bits((0, 1))
     assert all(e[0] == 0 for e in x.entries)
@@ -163,12 +165,12 @@ def test_xvector_normalization_and_shorthand():
 
 
 def test_equivalence_check_examples():
-    report = equivalence_check(PositionSet([(0, 0), (0, 1)]), 2)
+    report = equivalence_check(PositionSet([(0, 0), (0, 1)]), 2, per_stage=True)
     assert report.winner == 1 and report.all_maximal and report.equiv_holds
 
-    report = equivalence_check(PositionSet([(0, 0), (1, 1)]), 2)
+    report = equivalence_check(PositionSet([(0, 0), (1, 1)]), 2, per_stage=True)
     assert report.winner == 2 and not report.all_maximal and report.equiv_holds
-    assert report.witness == XVector.from_bits((1,))  # least failing vector
+    assert report.witness == XVector.from_bits((1,))  # shifts block 0 of 11 onto 00
 
     # a depth-6 mover win: every one of the history mixers keeps the image maximal
     z6 = build_Z_from_code(COMB_CODE, _stage_strategy((1, 1, 1)))
@@ -181,13 +183,13 @@ def test_equivalence_check_reports_the_depth4_exception_faithfully():
     # A responder win whose every image is maximal: the checker must report
     # the failed equivalence rather than mask it.
     z = DEPTH4_RESPONDER_WIN
-    report = equivalence_check(z, 2)
+    report = equivalence_check(z, 2, per_stage=True)
     assert report.winner == 2
     assert report.all_maximal
     assert not report.equiv_holds
     assert report.witness is None
-    full = equivalence_check(z, 2, full=True)
-    assert full.all_maximal and not full.equiv_holds
+    assert report.checked == 6  # every pair of the four positions
+    assert _all_maximal(z, 2, _vectors(2, 2, full=True))
 
     # history mixers close the gap: the least witness flips the last block
     history = history_equivalence_check(z, 2)
@@ -198,30 +200,104 @@ def test_equivalence_check_reports_the_depth4_exception_faithfully():
         [[0], 0], [[0, 0, 0], 0], [[0, 1, 0], 0], [[1], 0], [[1, 0, 0], 0], [[1, 1, 0], 1]
     ]
 
+    # the pair test finds the split of sorted neighbours 0100, 1001 at move 0
+    split = equivalence_check(z, 2)
+    assert split.winner == 2 and not split.all_maximal and split.equiv_holds
+    assert split.checked == 2
+    assert split.to_json_dict()["witness"]["table"] == [
+        [[0], 0], [[0, 0, 0], 0], [[0, 1, 0], 0], [[1], 1], [[1, 0, 0], 1], [[1, 1, 0], 0]
+    ]
+    assert history_code(z, split.witness, 2).positions == {(0, 0), (0, 1), (1, 0)}
+
 
 def test_equivalence_check_rejects_non_minimal():
-    with pytest.raises(ValueError):
-        equivalence_check(PositionSet([(0, 0)]), 2)
-    with pytest.raises(ValueError):
-        history_equivalence_check(PositionSet([(0, 0)]), 2)
+    # the flagged ladder's closed-form tail sums to 1, its listed positions to 7/8
+    ladder = geometric_ladder(3)
+    assert is_minimal_size(ladder, 2)
+    for z in (PositionSet([(0, 0)]), ladder):
+        for per_stage in (False, True):
+            with pytest.raises(ValueError, match="requires a minimal-size set"):
+                equivalence_check(z, 2, per_stage=per_stage)
+        with pytest.raises(ValueError, match="requires a minimal-size set"):
+            history_equivalence_check(z, 2)
+    with pytest.raises(ValueError, match="requires a minimal-size set"):
+        extract_generating_subset(ladder, XVector.from_bits((0, 0, 0)), 2)
 
 
 def test_history_equivalence_check_budget():
     # six odd-length histories give 2^6 mixers
     assert history_equivalence_check(DEPTH4_RESPONDER_WIN, 2, budget=64).equiv_holds
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetExceededError):
         history_equivalence_check(DEPTH4_RESPONDER_WIN, 2, budget=63)
 
 
 def test_equivalence_normalized_matches_full_enumeration_on_tiny_instances():
+    # the per-stage pair test against the full function space on depth 2, and
+    # against the normalized vectors on every four-element depth-4 set, which
+    # hold all four binary depth-4 converse failures
     squares = [(a, b) for a in (0, 1) for b in (0, 1)]
     for combo in itertools.combinations(squares, 2):
         z = PositionSet(combo)
-        assert (
-            equivalence_check(z, 2).equiv_holds
-            == equivalence_check(z, 2, full=True).equiv_holds
-        )
-    assert equivalence_check(PositionSet([()]), 2).equiv_holds
+        report = equivalence_check(z, 2, per_stage=True)
+        assert report.all_maximal == _all_maximal(z, 2, _vectors(2, 1, full=True))
+    assert equivalence_check(PositionSet([()]), 2, per_stage=True).equiv_holds
+    converse_failures = 0
+    for combo in itertools.combinations(itertools.product((0, 1), repeat=4), 4):
+        z = PositionSet(combo)
+        report = equivalence_check(z, 2, per_stage=True)
+        assert report.all_maximal == _all_maximal(z, 2, _vectors(2, 2)), combo
+        converse_failures += not report.equiv_holds
+    assert converse_failures == 4
+
+
+def _random_minimal_antichain(rng: random.Random, k: int, splits: int) -> PositionSet:
+    """A random antichain whose listed Kraft-type sum is 1, odd lengths included.
+
+    Each split replaces an element p by p + (a, b) for k distinct blocks
+    (a, b): on a one-strategy draw always (a, 0), ..., (a, k - 1), which
+    keeps a mover win.  At the end some elements get one more mover
+    symbol, which keeps the sum.
+    """
+    one_strategy = rng.random() < 0.5
+    squares = list(itertools.product(range(k), repeat=2))
+    z = [()]
+    for _ in range(splits):
+        p = z.pop(rng.randrange(len(z)))
+        if one_strategy or rng.random() < 0.5:
+            a = rng.randrange(k)
+            z += [p + (a, b) for b in range(k)]
+        else:
+            z += [p + block for block in rng.sample(squares, k)]
+    return PositionSet(p + (rng.randrange(k),) if rng.random() < 0.2 else p for p in z)
+
+
+def test_pair_test_matches_solver_and_enumerations_on_random_sets():
+    rng = random.Random(2026)
+    enumerated = [0, 0]
+    for _ in range(400):
+        k = rng.choice((2, 3, 4))
+        z = _random_minimal_antichain(rng, k, rng.randint(0, 6))
+        winner = solve(GameInstance(k, z)).winner
+        history = equivalence_check(z, k)
+        stage = equivalence_check(z, k, per_stage=True)
+        assert history.winner == stage.winner == winner
+        assert history.equiv_holds, z
+        assert winner == 2 or stage.all_maximal, z
+        if k ** len(mixer_histories(z)) <= 256:
+            enumerated[0] += 1
+            assert history_equivalence_check(z, k).all_maximal == history.all_maximal, z
+        depth = max(len(p) // 2 for p in z)
+        if k ** ((k - 1) * depth) <= 256:
+            enumerated[1] += 1
+            assert _all_maximal(z, k, _vectors(k, depth)) == stage.all_maximal, z
+        for report, mixer in (
+            (history, history.witness),
+            (stage, stage.witness and stage.witness.as_mixer(z)),
+        ):
+            if report.witness is not None:
+                image = history_code(z, mixer, k)
+                assert not (is_prefix_code(image) and is_maximal(image)), z
+    assert min(enumerated) >= 100
 
 
 def test_build_Z_from_code_examples():

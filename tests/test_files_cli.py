@@ -11,6 +11,7 @@ from opengame import cli
 from opengame.cli import main
 from opengame.codes import PrefixCode, XVector
 from opengame.covering import Measure, MeasureSpec
+from opengame.suite import geometric_ladder
 from opengame.tree import PositionSet
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -160,6 +161,28 @@ def test_cli_codes_equiv_flags_failed_equivalence(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["winner"] == 2 and payload["equiv_holds"]
     assert not payload["all_maximal"]
+
+
+def test_cli_codes_equiv_decides_deep_combs_and_rejects_flagged_ladders(tmp_path, capsys):
+    # the comb code {0^i 1 : i < 19} + {0^19} interleaved with mover 0: 2^19
+    # history mixers, decided by comparing 19 sorted neighbours
+    comb = [(0,) * i + (1,) for i in range(19)] + [(0,) * 19]
+    path = tmp_path / "comb.json"
+    path.write_text(files.game_to_json(2, PositionSet(sum(((0, c) for c in w), ()) for w in comb)))
+    for flag, checked in (([], 19), (["--per-stage"], 190)):
+        assert main(["codes", "equiv", str(path), *flag]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["winner"] == 1 and payload["all_maximal"] and payload["equiv_holds"]
+        assert payload["witness"] is None and payload["checked"] == checked
+
+    # a flagged ladder is minimal-size only through its closed-form tail; the
+    # images are taken of its listed positions, which sum to 7/8
+    path = tmp_path / "ladder.json"
+    path.write_text(files.game_to_json(2, geometric_ladder(3)))
+    for flag in ([], ["--per-stage"]):
+        assert main(["codes", "equiv", str(path), *flag]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "equivalence_check requires a minimal-size set", "kind": "usage"}
 
 
 def test_cli_fold_index_member(capsys):
