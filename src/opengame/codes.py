@@ -70,23 +70,19 @@ def _maximal_by_kraft(code: PrefixCode) -> bool:
 
 
 def _maximal_by_completeness(code: PrefixCode) -> bool:
-    # every one-symbol extension of a proper prefix of a codeword must stay
-    # comparable with the code, otherwise that extension could be added
-    if not code.positions:
-        return False
-    prefixes = {w[:j] for w in code.positions for j in range(len(w))}
-    cover = prefixes | code.positions
-    return all(
-        p + (a,) in cover for p in prefixes for a in range(code.alphabet_size)
-    )
+    # a child missing below a node that ends no codeword (the root of the
+    # empty code too) is a word that could be added to the code
+    children, terminal = code.trie
+    return all(end or len(ch) == code.alphabet_size for ch, end in zip(children, terminal))
 
 
 def is_maximal(code: PrefixCode) -> bool:
     """Maximality of a prefix code, decided by two independent routes.
 
-    Route (a): the exact Kraft sum equals 1.  Route (b): the codeword tree
-    is complete.  Both run on every call; disagreement is an internal
-    failure, not a result.
+    Route (a): the exact Kraft sum equals 1.  Route (b): on the code's trie
+    every node that ends no codeword has all k children, which makes the
+    empty code non-maximal and {()} maximal.  Both run on every call;
+    disagreement is an internal failure, not a result.
     """
     if not is_prefix_code(code):
         raise ValueError("is_maximal requires a prefix code")

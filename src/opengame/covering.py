@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .codes import PrefixCode, is_prefix_code
 from .criteria import uniform_weight, word_sum
-from .tree import Position, PositionSet, hat
+from .tree import PositionSet, hat
 
 SignedLetter = tuple[int, int]
 SignedPosition = tuple[SignedLetter, ...]
@@ -57,33 +57,26 @@ def strategy_consistent_lifts(c: Sequence[int], x: Sequence[int]) -> frozenset[S
 
     The mover's lifted move at block i is the positive sign unless that
     would cancel against the previous letter, in which case the sign is
-    forced; the responder's sign is free whenever it cannot cancel.
+    forced; the responder's sign is free whenever it cannot cancel.  The
+    lifts grow one block at a time, and each is checked to be reduced.
     """
     if len(x) < len(c):
         raise ValueError("mover sequence shorter than responder word")
-    blocks = list(zip(x, c))
-    out: set[SignedPosition] = set()
-    stack: list[SignedPosition] = [()]
-    while stack:
-        partial = stack.pop()
-        i = len(partial) // 2
-        if i == len(blocks):
-            out.add(partial)
-            continue
-        xi, ci = blocks[i]
-        if partial and partial[-1][0] == xi:
-            mover_sign = partial[-1][1]  # forced: the other sign cancels
-        else:
-            mover_sign = 1
-        mover_letter = (xi, mover_sign)
-        for sign in (1, -1):
-            if ci == xi and sign == -mover_sign:
-                continue
-            stack.append(partial + (mover_letter, (ci, sign)))
-    for lift in out:
+    lifts: list[SignedPosition] = [()]
+    for xi, ci in zip(x, c):
+        grown = []
+        for partial in lifts:
+            # forced after the same symbol: the other sign cancels
+            mover_sign = partial[-1][1] if partial and partial[-1][0] == xi else 1
+            for sign in (1, -1):
+                if ci == xi and sign == -mover_sign:
+                    continue
+                grown.append(partial + ((xi, mover_sign), (ci, sign)))
+        lifts = grown
+    for lift in lifts:
         if not _reduction_free(lift):
             raise AssertionError("constructed lift contains a reduction")
-    return frozenset(out)
+    return frozenset(lifts)
 
 
 @dataclass(frozen=True)
@@ -318,8 +311,11 @@ def lifted_measure_sum(code: PrefixCode, x: Sequence[int], measure: Measure) -> 
 
     Enumerates the strategy-consistent lifts of every interleaved codeword
     and weights each signed responder letter with the lifted per-stage
-    measure; the closed-form mismatch factors never appear.  Must equal
-    weighted_identity(code, x, measure).sum exactly.
+    measure.  That weight does not depend on the sign, so all lifts of a
+    codeword c weigh the same and c adds |lifts| * prod_i
+    lifted_stage_weight(c_i, x_i).  The closed-form mismatch factors and
+    ``word_sum`` never appear.  Must equal weighted_identity(code, x,
+    measure).sum exactly.
     """
     if not is_prefix_code(code):
         raise ValueError("lifted_measure_sum requires a prefix code")
@@ -327,11 +323,10 @@ def lifted_measure_sum(code: PrefixCode, x: Sequence[int], measure: Measure) -> 
         raise ValueError("x must cover the longest codeword")
     total = Fraction(0)
     for c in code.positions:
-        for lift in strategy_consistent_lifts(c, x):
-            term = Fraction(1)
-            for i, (symbol, _sign) in enumerate(lift[1::2]):
-                term *= lifted_stage_weight(symbol, x[i], measure)
-            total += term
+        term = Fraction(len(strategy_consistent_lifts(c, x)))
+        for i, symbol in enumerate(c):
+            term *= lifted_stage_weight(symbol, x[i], measure)
+        total += term
     return total
 
 
@@ -391,30 +386,29 @@ def monte_carlo_hit(
 ) -> MonteCarloReport:
     """Simulate plays and compare the hit frequency against the exact sum.
 
-    The responder samples i.i.d. from the measure.  ``x`` is unused: the
+    The responder samples i.i.d. from the measure and walks the code's
+    trie; a trial ends at the first symbol that leaves it, or at a
+    codeword.  Each trial draws from its own splitmix64 substream seeded
+    from (seed, trial), so stopping early changes no other trial's draws
+    and results are platform-independent.  ``x`` is unused, since the
     mover's symbols cannot affect whether the responder's word enters the
-    code.  Each trial draws from its own splitmix64 substream seeded from
-    (seed, trial), so results are platform-independent.
+    code; it stays in the signature for callers that pass it
+    positionally.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     exact = exact_hit_probability(code, measure)
-    maxlen = code.max_length
-    words = code.positions
+    children, terminal = code.trie
+    sample = measure.sample
     hits = 0
     base = seed & _MASK64
     for trial in range(trials):
         state = (base ^ ((trial + 1) * _GOLDEN)) & _MASK64
-        prefix: Position = ()
-        if prefix in words:
-            hits += 1
-            continue
-        for _ in range(maxlen):
+        node: int | None = 0
+        while node is not None and not terminal[node]:
             state, value = _splitmix64(state)
-            prefix = prefix + (measure.sample(_unit(value)),)
-            if prefix in words:
-                hits += 1
-                break
+            node = children[node].get(sample(_unit(value)))
+        hits += node is not None
     empirical = hits / trials
     p = float(exact)
     sigma = math.sqrt(max(p * (1.0 - p), 0.0) / trials)

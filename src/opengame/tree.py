@@ -15,6 +15,8 @@ tested for the antichain property again.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Iterator
 
 Position = tuple[int, ...]
@@ -62,6 +64,29 @@ class PositionSet:
         # neighbours suffices.
         elems = sorted(self.positions)
         return not any(q[: len(p)] == p for p, q in zip(elems, elems[1:]))
+
+    @cached_property
+    def trie(self) -> tuple[list[dict[int, int]], list[bool]]:
+        """Integer trie of the set: child maps and terminal flags, nodes in preorder.
+
+        In sorted order a word's longest common prefix with any earlier word
+        is the one with its predecessor, so only the rest needs new nodes.
+        """
+        children: list[dict[int, int]] = [{}]
+        terminal = [False]
+        path, prev = [0], ()  # path[j]: the node of prev[:j]
+        for word in self.sorted_positions():
+            # the first index where they differ, scanned in C
+            j = next(compress(count(), map(ne, prev, word)), min(len(prev), len(word)))
+            del path[j + 1 :]
+            for symbol in word[j:]:
+                children[path[-1]][symbol] = len(children)
+                path.append(len(children))
+                children.append({})
+                terminal.append(False)
+            terminal[path[-1]] = True
+            prev = word
+        return children, terminal
 
     @cached_property
     def even_normalized(self) -> bool:

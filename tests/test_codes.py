@@ -9,6 +9,8 @@ from opengame.codes import (
     HistoryMixer,
     PrefixCode,
     XVector,
+    _maximal_by_completeness,
+    _maximal_by_kraft,
     brute_force_maximal,
     build_Z_from_code,
     equivalence_check,
@@ -95,6 +97,25 @@ def test_prefix_code_symbol_checks_name_the_first_offending_word():
     first = next(w for w in PositionSet(words) if any(a >= 2 for a in w))
     with pytest.raises(ValueError, match=re.escape(f"symbol out of range in {first!r}")):
         PrefixCode(words, 2)
+
+
+def test_maximality_routes_agree():
+    rng = random.Random(77)
+    cases = [(PrefixCode([], 2), False), (PrefixCode([()], 3), True)]
+    for k in (2, 3, 4):
+        for _ in range(15):
+            words = {()}  # a random maximal code: split words into their k extensions
+            for _ in range(rng.randrange(1, 12)):
+                w = rng.choice(sorted(words))
+                words.remove(w)
+                words.update(w + (a,) for a in range(k))
+            cases.append((PrefixCode(words, k), True))
+            pruned = words - set(rng.sample(sorted(words), rng.randrange(1, min(4, len(words)))))
+            cases.append((PrefixCode(pruned, k), False))
+    comb = [(0,) * i + (1,) for i in range(1500)]
+    cases += [(PrefixCode(comb + [(0,) * 1500], 2), True), (PrefixCode(comb, 2), False)]
+    for code, maximal in cases:
+        assert _maximal_by_kraft(code) == _maximal_by_completeness(code) == maximal, code
 
 
 def test_is_maximal_agrees_with_brute_force_everywhere():

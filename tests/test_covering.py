@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,10 @@ from opengame.covering import (
     Measure,
     MeasureError,
     MeasureSpec,
+    _GOLDEN,
+    _MASK64,
     _splitmix64,
+    _unit,
     averaged_identity,
     exact_hit_probability,
     identity_sum,
@@ -217,9 +221,28 @@ def test_weighted_identity_geometric_partial_sum():
     assert with_x.sum == 1 - Fraction(2, 3) * Fraction(1, 2) ** 10
 
 
-def test_lifted_measure_route_matches_weighted_identity():
+def _random_code(rng, k, depth, prune=0):
+    """A random maximal code over 0..k-1 with longest word of length depth,
+    grown by splitting words into their k extensions, less ``prune`` words."""
+    words = {()}
+    while max(map(len, words)) < depth:
+        w = rng.choice(sorted(words))
+        if len(w) < depth:
+            words.remove(w)
+            words.update(w + (a,) for a in range(k))
+    return words - set(rng.sample(sorted(words), prune))
+
+
+def _skewed(rng, symbols):
+    raw = rng.sample(range(1, len(symbols) + 1), len(symbols))
+    return Measure(weights={a: Fraction(w, sum(raw)) for a, w in zip(symbols, raw)})
+
+
+def test_lifted_measure_route_matches_weighted_identity(monkeypatch):
+    from opengame import covering, criteria
     from opengame.covering import lifted_measure_sum
 
+    cases = []
     measures = [
         Measure.uniform(2),
         Measure(weights={0: Fraction(1, 3), 1: Fraction(2, 3)}),
@@ -229,14 +252,37 @@ def test_lifted_measure_route_matches_weighted_identity():
         code = PrefixCode(words, 2)
         for mu in measures:
             for x in itertools.product((0, 1), repeat=2):
-                assert (
-                    lifted_measure_sum(code, x, mu)
-                    == weighted_identity(code, x, mu).sum
-                )
+                cases.append((code, x, mu))
     skew3 = Measure(weights={0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)})
     code3 = PrefixCode.of([(0,), (1,), (2, 0), (2, 1), (2, 2)], 3)
     for x in ((0, 0), (2, 1), (1, 2)):
-        assert lifted_measure_sum(code3, x, skew3) == weighted_identity(code3, x, skew3).sum
+        cases.append((code3, x, skew3))
+    rng = random.Random(4242)
+    for k in (2, 3, 4, 5):
+        for prune in (0, 2):
+            words = _random_code(rng, k, 5 if k == 2 else 3, prune)
+            depth = max(map(len, words))
+            x = tuple(rng.randrange(k) for _ in range(depth))
+            cases.append((PrefixCode(words, k), x, _skewed(rng, range(k))))
+            # the same code over symbols 1..k under the geometric tail
+            shifted = PrefixCode([tuple(a + 1 for a in w) for w in words], k + 1)
+            cases.append((shifted, tuple(a + 1 for a in x), Measure.geometric2()))
+
+    expected = [weighted_identity(code, x, mu).sum for code, x, mu in cases]
+    assert [lifted_measure_sum(code, x, mu) for code, x, mu in cases] == expected
+    for code, x, _mu in cases:
+        for c in code:
+            for lift in strategy_consistent_lifts(c, x):
+                assert tuple(a for a, _ in lift[1::2]) == c
+                assert tuple(a for a, _ in lift[::2]) == tuple(x[: len(c)])
+
+    # the cross-check stays off the kernel it checks
+    def no_kernel(*args):
+        raise AssertionError("lifted_measure_sum called word_sum")
+
+    monkeypatch.setattr(criteria, "word_sum", no_kernel)
+    monkeypatch.setattr(covering, "word_sum", no_kernel)
+    assert [lifted_measure_sum(code, x, mu) for code, x, mu in cases] == expected
 
 
 def test_monte_carlo_three_sigma_over_many_seeds():
@@ -303,6 +349,49 @@ def test_monte_carlo_deterministic_given_seed():
 def test_exact_hit_probability_geometric():
     code = PrefixCode.of([(1,), (2,)], 3)
     assert exact_hit_probability(code, Measure.geometric2()) == Fraction(3, 4)
+
+
+def _tuple_walk_empirical(code, measure, trials, seed):
+    # the reference walk: each trial draws up to the longest word from its
+    # own substream, extending a tuple and looking it up after every draw
+    words = code.positions
+    hits = 0
+    base = seed & _MASK64
+    for trial in range(trials):
+        state = (base ^ ((trial + 1) * _GOLDEN)) & _MASK64
+        prefix = ()
+        if prefix in words:
+            hits += 1
+            continue
+        for _ in range(code.max_length):
+            state, value = _splitmix64(state)
+            prefix = prefix + (measure.sample(_unit(value)),)
+            if prefix in words:
+                hits += 1
+                break
+    return hits / trials
+
+
+def test_monte_carlo_matches_the_tuple_walk_reference():
+    rng = random.Random(909)
+    # k = 5 with every word below the heaviest symbol 0 removed: most
+    # trials miss at their first draw
+    k5 = {w for w in _random_code(rng, 5, 3, prune=2) if w[:1] != (0,)}
+    heavy0 = Measure(weights={0: Fraction(6, 10), 1: Fraction(1, 10), 2: Fraction(1, 10),
+                              3: Fraction(1, 10), 4: Fraction(1, 10)})
+    geometric = [tuple(a + 1 for a in w) for w in _random_code(rng, 3, 4)]
+    shapes = [
+        (PrefixCode.of(k5, 5), heavy0),
+        (PrefixCode.of(_random_code(rng, 2, 7), 2), _skewed(rng, range(2))),
+        (PrefixCode.of(geometric, 4), Measure.geometric2()),  # draws above 3 leave the code
+        (PrefixCode.of([()], 2), Measure.uniform(2)),
+        (PrefixCode.of([], 2), Measure.uniform(2)),
+    ]
+    for code, mu in shapes:
+        for _ in range(20):
+            seed = rng.getrandbits(63)
+            report = monte_carlo_hit(code, None, mu, 400, seed)
+            assert report.empirical == _tuple_walk_empirical(code, mu, 400, seed)
 
 
 def test_monte_carlo_empirical_is_pinned():

@@ -59,6 +59,22 @@ def test_antichain_matches_definition(drawn):
 
 @settings(max_examples=200)
 @given(word_sets())
+def test_trie_nodes_are_the_prefixes_in_preorder(drawn):
+    _, words = drawn
+    children, terminal = PositionSet(words).trie
+    labels = [()] + [None] * (len(children) - 1)  # node id -> its word
+    for node, below in enumerate(children):
+        for symbol, child in below.items():
+            assert child > node
+            labels[child] = labels[node] + (symbol,)
+    prefixes = {w[:j] for w in words for j in range(len(w) + 1)} | {()}
+    assert len(labels) == len(prefixes) and set(labels) == prefixes
+    assert labels == sorted(labels)
+    assert terminal == [p in words for p in labels]
+
+
+@settings(max_examples=200)
+@given(word_sets())
 def test_normalize_even_output_is_an_even_antichain_with_the_same_boundary(drawn):
     # pins what normalize_even guarantees by construction, so it need not
     # re-check its result at run time
