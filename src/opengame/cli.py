@@ -235,11 +235,9 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 def _cmd_weighted(args: argparse.Namespace) -> int:
     code = files.load_code(args.code)
-    spec = files.load_measure(args.measure)
-    if spec.single is None:
-        raise ValueError("weighted identity needs a single measure, not a per-stage family")
+    measure = files.load_measure(args.measure)
     x = _parse_symbols(args.x) if args.x is not None else None
-    report = weighted_identity(code, x, spec.single)
+    report = weighted_identity(code, x, measure)
     _emit(report.to_json_dict())
     return EXIT_OK
 
@@ -247,10 +245,7 @@ def _cmd_weighted(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     code = files.load_code(args.code)
     if args.measure is not None:
-        spec = files.load_measure(args.measure)
-        if spec.single is None:
-            raise ValueError("Monte Carlo needs a single measure, not a per-stage family")
-        measure = spec.single
+        measure = files.load_measure(args.measure)
     else:
         measure = Measure.uniform(code.alphabet_size)
     report = monte_carlo_hit(code, None, measure, args.trials, args.seed)

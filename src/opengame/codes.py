@@ -17,12 +17,13 @@ history mixer (``history_equivalence_check``) is the reference.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .criteria import uniform_weight, word_sum
-from .solver import DEFAULT_BUDGET, BudgetExceededError, GameInstance, Strategy, solve
+from .solver import BudgetExceededError, GameInstance, Strategy, solve
 from .tree import Position, PositionSet, hat, is_prefix
 
 ENUMERATION_BUDGET = 1 << 20
@@ -283,9 +284,7 @@ def _stage_witness(Z: PositionSet, k: int, p: Position, q: Position) -> tuple:
     return x, x.as_mixer(Z)
 
 
-def equivalence_check(
-    Z: PositionSet, k: int, per_stage: bool = False, solve_budget: int = DEFAULT_BUDGET
-) -> EquivalenceReport:
+def equivalence_check(Z: PositionSet, k: int, per_stage: bool = False) -> EquivalenceReport:
     """Compare the solved winner with maximality of every block-code image.
 
     Requires a minimal-size antichain.  Every image has Kraft sum 1, so it
@@ -299,7 +298,7 @@ def equivalence_check(
     be non-maximal before it is reported.
     """
     _require_minimal_antichain(Z, k, "equivalence_check")
-    winner = solve(GameInstance(k, Z), budget=solve_budget).winner
+    winner = solve(GameInstance(k, Z)).winner
     elems = Z.sorted_positions()
     if per_stage:
         pairs, mergeable, build = itertools.combinations(elems, 2), _stage_mergeable, _stage_witness
@@ -317,10 +316,7 @@ def equivalence_check(
 
 
 def history_equivalence_check(
-    Z: PositionSet,
-    k: int,
-    budget: int = ENUMERATION_BUDGET,
-    solve_budget: int = DEFAULT_BUDGET,
+    Z: PositionSet, k: int, budget: int = ENUMERATION_BUDGET
 ) -> EquivalenceReport:
     """Compare the solved winner with maximality of every history-mixer image.
 
@@ -341,7 +337,7 @@ def history_equivalence_check(
     count = k ** len(histories)
     if count > budget:
         raise BudgetExceededError(f"{count} history mixers exceed the budget {budget}")
-    winner = solve(GameInstance(k, Z), budget=solve_budget).winner
+    winner = solve(GameInstance(k, Z)).winner
     for checked, values in enumerate(itertools.product(range(k), repeat=len(histories)), 1):
         mixer = HistoryMixer(dict(zip(histories, values)), k)
         if not _is_maximal_image(Z, mixer, k):
@@ -364,19 +360,18 @@ def build_Z_from_code(code: PrefixCode, s1: Strategy) -> PositionSet:
     return PositionSet(out)
 
 
-def extract_generating_subset(
-    Z: PositionSet, x: XVector, k: int, solve_budget: int = DEFAULT_BUDGET
-) -> PositionSet:
+def extract_generating_subset(Z: PositionSet, x: XVector, k: int) -> PositionSet:
     """Small subset whose block-code image already generates a finite-index subgroup.
 
     Requires a minimal-size Player-1 win.  Start from a maximal-length
     image word (lexicographic tie-break), include for each level j and
     each symbol a != c[j] a word extending c[:j] + (a,), and map the
-    chosen words back to positions.  The subset has at most
+    chosen words back to positions.  The least image word extending a
+    stem is the first sorted word at or after it.  The subset has at most
     max_len * (k-1) + 1 elements.
     """
     _require_minimal_antichain(Z, k, "extract_generating_subset")
-    report = solve(GameInstance(k, Z), budget=solve_budget)
+    report = solve(GameInstance(k, Z))
     if report.winner != 1:
         raise ValueError("extract_generating_subset requires a Player-1 win")
     mixer = x.as_mixer(Z)
@@ -384,11 +379,10 @@ def extract_generating_subset(
     if not (is_prefix_code(image) and is_maximal(image)):
         raise AssertionError("image of a winning minimal-size set must be maximal")
     representative: dict[Position, Position] = {}
-    for p in sorted(Z.positions):
+    for p in Z.sorted_positions():
         representative.setdefault(history_encode(p, mixer, k), p)
-    words = sorted(image.positions)
-    longest = max(len(w) for w in words)
-    c1 = min(w for w in words if len(w) == longest)
+    words = image.sorted_positions()
+    c1 = max(words, key=len)  # the first, so the least, of the longest words
     chosen = {c1}
     for j in range(len(c1), 0, -1):
         stem = c1[: j - 1]
@@ -396,9 +390,11 @@ def extract_generating_subset(
             if a == c1[j - 1]:
                 continue
             extension = stem + (a,)
-            candidates = [w for w in words if is_prefix(extension, w)]
-            chosen.add(min(candidates))
-    bound = longest * (k - 1) + 1
+            i = bisect.bisect_left(words, extension)
+            if i == len(words) or not is_prefix(extension, words[i]):
+                raise AssertionError(f"no image word extends {extension!r}")
+            chosen.add(words[i])
+    bound = len(c1) * (k - 1) + 1
     if len(chosen) > bound:
         raise AssertionError(f"generating subset has {len(chosen)} words, bound {bound}")
     return PositionSet(representative[w] for w in chosen)

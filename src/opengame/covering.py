@@ -124,7 +124,7 @@ def identity_sum(code: PrefixCode, x: Sequence[int]) -> IdentityReport:
     return IdentityReport(total, _verdict(total))
 
 
-def averaged_identity(code: PrefixCode, n: int, budget: int = AVERAGING_BUDGET) -> IdentityReport:
+def averaged_identity(code: PrefixCode, n: int) -> IdentityReport:
     """Average the identity over all mover sequences of length n.
 
     The mismatch factors telescope: averaging the per-x sums over all k^n
@@ -136,8 +136,10 @@ def averaged_identity(code: PrefixCode, n: int, budget: int = AVERAGING_BUDGET) 
     k = code.alphabet_size
     if n < code.max_length:
         raise ValueError("n must be at least the longest codeword")
-    if k**n > budget:
-        raise ValueError(f"averaging over {k}^{n} sequences exceeds the budget {budget}")
+    if k**n > AVERAGING_BUDGET:
+        raise ValueError(
+            f"averaging over {k}^{n} sequences exceeds the budget {AVERAGING_BUDGET}"
+        )
     total = sum(identity_sum(code, x).sum for x in itertools.product(range(k), repeat=n))
     averaged = total / k**n
     kraft = word_sum(code, uniform_weight(k))
@@ -239,12 +241,6 @@ class MeasureSpec:
             raise MeasureError(f"no measure declared for stage {i}")
         return self.stages[i - 1]
 
-    def to_json_dict(self) -> dict:
-        if self.single is not None:
-            return self.single.to_json_dict()
-        assert self.stages is not None
-        return {"stages": [m.to_json_dict() for m in self.stages]}
-
 
 @dataclass(frozen=True)
 class MeasureCriterionReport:
@@ -275,17 +271,17 @@ def weighted_identity(
     """Measure-weighted identity for prefix codes.
 
     With x given, each codeword c contributes
-    2^mismatches * prod_i weight(c_i) / (2 - weight(x_i)); without x the
-    plain product weights are summed.  Both total exactly 1 on a maximal
-    code over the weighted alphabet.  Sums over codes on an
-    infinite-support measure are flagged partial.
+    2^mismatches * prod_i weight(c_i) / (2 - weight(x_i)); without x it is
+    ``exact_hit_probability``, the sum of the plain product weights.  Both
+    total exactly 1 on a maximal code over the weighted alphabet.  Sums
+    over codes on an infinite-support measure are flagged partial.
     """
     if not is_prefix_code(code):
         raise ValueError("weighted_identity requires a prefix code")
     if x is not None and len(x) < code.max_length:
         raise ValueError("x must cover the longest codeword")
     if x is None:
-        total = word_sum(code, lambda i, a: measure.weight(a))
+        total = exact_hit_probability(code, measure)
     else:
         total = word_sum(
             code,

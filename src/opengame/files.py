@@ -4,7 +4,8 @@ Every kind has a canonical emitted form (sorted keys, sorted payload,
 two-space indent, trailing newline) that round-trips byte-identically
 through parse and emit.  Parsing is tolerant about the envelope (missing
 "kind"/"schema_version" default to the requested kind and version 1) but
-strict about payload shapes, and errors carry the offending path.
+strict about payload shapes, and errors carry the offending path.  A
+measure file holds one measure, used at every stage.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .codes import PrefixCode, XVector
-from .covering import Measure, MeasureSpec
+from .covering import Measure
 from .freegroup import GroupWord, parse_word
 from .tree import PositionSet
 
@@ -206,44 +207,31 @@ def _parse_fraction(path: str | Path, text: Any, field: str) -> Fraction:
         raise _fail(path, f"{field} is not a valid rational: {text!r}") from None
 
 
-def _measure_from_dict(path: str | Path, data: dict, where: str) -> Measure:
+def load_measure(path: str | Path) -> Measure:
+    """One measure for every stage: a weight table or the geometric tail."""
+    data = _load_json(path)
+    _check_envelope(path, data, "measure")
     if "tail" in data:
         if data["tail"] != Measure.GEOMETRIC2:
-            raise _fail(path, f"{where}: unknown tail {data['tail']!r}")
+            raise _fail(path, f"measure: unknown tail {data['tail']!r}")
         return Measure.geometric2()
     weights = data.get("weights")
     if not isinstance(weights, dict) or not weights:
-        raise _fail(path, f"{where}: expected 'weights' or 'tail'")
+        raise _fail(path, "measure: expected 'weights' or 'tail'")
     table = {}
     for key, value in weights.items():
         try:
             symbol = int(key)
         except ValueError:
-            raise _fail(path, f"{where}: weight key {key!r} is not a symbol") from None
-        table[symbol] = _parse_fraction(path, value, f"{where}: weight of {key}")
+            raise _fail(path, f"measure: weight key {key!r} is not a symbol") from None
+        table[symbol] = _parse_fraction(path, value, f"measure: weight of {key}")
     try:
         return Measure(weights=table)
     except ValueError as exc:
-        raise _fail(path, f"{where}: {exc}") from None
+        raise _fail(path, f"measure: {exc}") from None
 
 
-def load_measure(path: str | Path) -> MeasureSpec:
-    data = _load_json(path)
-    _check_envelope(path, data, "measure")
-    if "stages" in data:
-        stages = data["stages"]
-        if not isinstance(stages, list) or not stages:
-            raise _fail(path, "'stages' must be a nonempty list")
-        return MeasureSpec(
-            stages=[
-                _measure_from_dict(path, stage, f"stages[{i}]")
-                for i, stage in enumerate(stages)
-            ]
-        )
-    return MeasureSpec(single=_measure_from_dict(path, data, "measure"))
-
-
-def measure_to_json(spec: MeasureSpec) -> str:
+def measure_to_json(measure: Measure) -> str:
     payload: dict[str, Any] = {"kind": "measure", "schema_version": SCHEMA_VERSION}
-    payload.update(spec.to_json_dict())
+    payload.update(measure.to_json_dict())
     return dumps_canonical(payload)

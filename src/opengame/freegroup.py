@@ -161,18 +161,15 @@ class LabeledGraph:
             "edges": sorted([u, v, label] for u, v, label in self.edges),
         }
 
-    def to_dot(self, names: Sequence[str] | None = None) -> str:
-        def label_name(label: int) -> str:
-            if names is not None:
-                return names[label]
-            return chr(ord("a") + label) if label < 26 else f"g{label}"
-
+    def to_dot(self) -> str:
+        """DOT source; labels read a..z, then g<n>."""
         lines = ["digraph core {"]
         for v in sorted(self.vertices):
             shape = "doublecircle" if v == self.basepoint else "circle"
             lines.append(f'  v{v} [shape={shape}, label="{v}"];')
         for u, v, label in sorted(self.edges):
-            lines.append(f'  v{u} -> v{v} [label="{label_name(label)}"];')
+            name = chr(ord("a") + label) if label < 26 else f"g{label}"
+            lines.append(f'  v{u} -> v{v} [label="{name}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -276,9 +273,7 @@ class IndexResult:
         }
 
 
-def subgroup_index(
-    generators: Iterable[Iterable[Letter]], k: int, order_rng: random.Random | None = None
-) -> IndexResult:
+def subgroup_index(generators: Iterable[Iterable[Letter]], k: int) -> IndexResult:
     """Index of the subgroup generated by the words in the rank-k free group.
 
     Finite exactly when the folded core is complete for all k labels, and
@@ -290,7 +285,7 @@ def subgroup_index(
         for gen, _ in word:
             if gen >= k:
                 raise ValueError(f"generator {gen} outside the rank-{k} free group")
-    graph = fold(words, order_rng=order_rng)
+    graph = fold(words)
     value = graph.vertex_count if graph.is_complete(k) else None
     rank = graph.rank
     if value is not None and rank != value * (k - 1) + 1:

@@ -57,12 +57,17 @@ class PositionSet:
         self.infinite_family = bool(infinite_family)
 
     @cached_property
+    def _sorted(self) -> tuple[Position, ...]:
+        # the one sort; sorted_positions hands out a fresh list of it
+        return tuple(sorted(self.positions))
+
+    @cached_property
     def antichain(self) -> bool:
         """True iff no element is a proper prefix of another."""
         # If p is a proper prefix of q, every element sorted between them
         # also starts with p, so the one just after p does: comparing
         # neighbours suffices.
-        elems = sorted(self.positions)
+        elems = self._sorted
         return not any(q[: len(p)] == p for p, q in zip(elems, elems[1:]))
 
     @cached_property
@@ -75,7 +80,7 @@ class PositionSet:
         children: list[dict[int, int]] = [{}]
         terminal = [False]
         path, prev = [0], ()  # path[j]: the node of prev[:j]
-        for word in self.sorted_positions():
+        for word in self._sorted:
             # the first index where they differ, scanned in C
             j = next(compress(count(), map(ne, prev, word)), min(len(prev), len(word)))
             del path[j + 1 :]
@@ -101,7 +106,7 @@ class PositionSet:
         return min((len(p) for p in self.positions), default=0)
 
     def sorted_positions(self) -> list[Position]:
-        return sorted(self.positions)
+        return list(self._sorted)
 
     def __iter__(self) -> Iterator[Position]:
         return iter(self.positions)

@@ -16,6 +16,7 @@ from opengame.codes import (
     equivalence_check,
     extract_generating_subset,
     history_code,
+    history_encode,
     history_equivalence_check,
     is_bifix_code,
     is_maximal,
@@ -26,7 +27,7 @@ from opengame.criteria import is_minimal_size, kraft_sum
 from opengame.freegroup import subgroup_index, word_from_position
 from opengame.solver import BudgetExceededError, GameInstance, Strategy, solve
 from opengame.suite import COMB_CODE, enumerate_antichain_codes, geometric_ladder
-from opengame.tree import PositionSet, hat
+from opengame.tree import PositionSet, hat, is_prefix
 
 FULL_SQUARE = PrefixCode.of([(a, b) for a in (0, 1) for b in (0, 1)], 2)
 DEPTH4_RESPONDER_WIN = PositionSet([(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1)])
@@ -347,7 +348,8 @@ def test_built_Z_is_consistent_with_its_strategy():
         assert all(s1.move(p[:i]) == p[i] for i in range(0, len(p), 2)), p
 
 
-def test_extract_generating_subset_bound_and_index():
+def _generating_subset_cases() -> list:
+    """(Z, x, k, size bound): the full square, the full pair and the comb code."""
     cases = []
     zx = PositionSet([(0, b1, 0, b2) for b1 in (0, 1) for b2 in (0, 1)])
     cases.append((zx, XVector([(0, 0)] * 2, alphabet_size=2), 2, 3))
@@ -355,7 +357,11 @@ def test_extract_generating_subset_bound_and_index():
     cases.append((z2, XVector.from_bits((0,)), 2, 2))
     z6 = build_Z_from_code(COMB_CODE, _stage_strategy((1, 1, 1)))
     cases.append((z6, XVector([(0, 0)] * 3, alphabet_size=2), 2, 4))
-    for z, x, k, bound in cases:
+    return cases
+
+
+def test_extract_generating_subset_bound_and_index():
+    for z, x, k, bound in _generating_subset_cases():
         subset = extract_generating_subset(z, x, k)
         assert len(subset.positions) <= bound
         assert subset.positions <= z.positions
@@ -368,6 +374,38 @@ def test_extract_generating_subset_keeps_full_pair():
     z = PositionSet([(0, 0), (0, 1)])
     subset = extract_generating_subset(z, XVector.from_bits((0,)), 2)
     assert subset.positions == z.positions
+
+
+def _linear_scan_subset(z: PositionSet, x: XVector, k: int) -> PositionSet:
+    """The generating subset picked by scanning every image word for each extension."""
+    mixer = x.as_mixer(z)
+    representative: dict = {}
+    for p in sorted(z.positions):
+        representative.setdefault(history_encode(p, mixer, k), p)
+    words = list(representative)
+    longest = max(len(w) for w in words)
+    c1 = min(w for w in words if len(w) == longest)
+    chosen = {c1}
+    for j in range(len(c1), 0, -1):
+        for a in range(k):
+            if a != c1[j - 1]:
+                extension = c1[: j - 1] + (a,)
+                chosen.add(min(w for w in words if is_prefix(extension, w)))
+    return PositionSet(representative[w] for w in chosen)
+
+
+def test_extract_generating_subset_matches_the_linear_scan():
+    rng = random.Random(24)
+    cases = [(z, x, k) for z, x, k, _ in _generating_subset_cases()]
+    while len(cases) < 80:
+        k = rng.choice((2, 3))
+        z = _random_minimal_antichain(rng, k, rng.randint(1, 8))
+        if solve(GameInstance(k, z)).winner == 1:
+            depth = max(len(p) // 2 for p in z)
+            entries = [[rng.randrange(k) for _ in range(k)] for _ in range(depth)]
+            cases.append((z, XVector(entries, alphabet_size=k), k))
+    for z, x, k in cases:
+        assert extract_generating_subset(z, x, k) == _linear_scan_subset(z, x, k), z
 
 
 def test_prefix_code_validation():

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from opengame import files
-from opengame import cli
+from opengame import cli, covering
 from opengame.cli import main
 from opengame.codes import PrefixCode, XVector
-from opengame.covering import Measure, MeasureSpec
+from opengame.covering import Measure
 from opengame.suite import geometric_ladder
 from opengame.tree import PositionSet
 
@@ -58,22 +58,28 @@ def test_code_and_xvector_round_trips(tmp_path):
 
 
 def test_measure_round_trip(tmp_path):
-    spec = MeasureSpec(single=Measure(weights={0: Fraction(1, 3), 1: Fraction(2, 3)}))
-    text = files.measure_to_json(spec)
+    measure = Measure(weights={0: Fraction(1, 3), 1: Fraction(2, 3)})
+    text = files.measure_to_json(measure)
     path = tmp_path / "m.json"
     path.write_text(text)
     assert files.measure_to_json(files.load_measure(path)) == text
 
     tail = tmp_path / "tail.json"
     tail.write_text('{"kind": "measure", "tail": "geometric2"}')
-    assert not files.load_measure(tail).single.finite_support
+    assert not files.load_measure(tail).finite_support
 
+
+def test_cli_rejects_per_stage_measure_files(tmp_path, code_file, capsys):
     staged = tmp_path / "staged.json"
     staged.write_text(
         json.dumps({"kind": "measure", "stages": [{"weights": {"0": "1/2", "1": "1/2"}}]})
     )
-    spec = files.load_measure(staged)
-    assert spec.stages is not None and len(spec.stages) == 1
+    for argv in (["weighted", code_file, "--x", "111"], ["mc", code_file, "--trials", "10"]):
+        assert main(argv + ["--measure", str(staged)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["kind"] == "usage" and "staged.json" in error["error"]
 
 
 def test_malformed_files_carry_location(tmp_path):
@@ -235,6 +241,19 @@ def test_cli_identity_weighted_mc(tmp_path, code_file, capsys):
     with pytest.raises(SystemExit) as exc:  # mc has no --x
         main(["mc", code_file, "--x", "111"])
     assert exc.value.code == 2
+
+
+def test_cli_averaged_identity_refuses_past_its_cap(code_file, monkeypatch, capsys):
+    # 2^17 mover sequences exceed AVERAGING_BUDGET = 2^16; refused before any is summed
+    def unreachable(*args):
+        raise AssertionError("averaged_identity enumerated past its cap")
+
+    monkeypatch.setattr(covering, "identity_sum", unreachable)
+    assert main(["identity", code_file, "--averaged", "-n", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["kind"] == "usage" and "2^17" in error["error"]
 
 
 def test_cli_usage_errors(tmp_path, game_file, capsys):
