@@ -24,7 +24,6 @@ from .codes import (
 from .covering import (
     IdentityReport,
     Measure,
-    MeasureSpec,
     MonteCarloReport,
     averaged_identity,
     identity_sum,

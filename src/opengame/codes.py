@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .criteria import uniform_weight, word_sum
 from .solver import BudgetExceededError, GameInstance, Strategy, solve
-from .tree import Position, PositionSet, hat, is_prefix
+from .tree import Position, PositionSet, common_prefix_length, hat, is_prefix
 
 ENUMERATION_BUDGET = 1 << 20
 
@@ -200,8 +200,12 @@ def history_code(Z: PositionSet, x: HistoryMixer, k: int) -> PrefixCode:
 
 
 def mixer_histories(Z: PositionSet) -> list[Position]:
-    """The odd-length prefixes of Z that the block encoding reads, sorted."""
-    return sorted({p[: 2 * i + 1] for p in Z for i in range(len(p) // 2)})
+    """The odd-length prefixes of Z that the block encoding reads, sorted.
+
+    These are the odd-depth trie nodes with a child; preorder is sorted order.
+    """
+    children, _ = Z.trie
+    return [p for p, below in zip(Z.trie_words(), children) if len(p) % 2 and below]
 
 
 @dataclass
@@ -244,20 +248,16 @@ def _is_maximal_image(Z: PositionSet, mixer: HistoryMixer, k: int) -> bool:
     return is_prefix_code(image) and is_maximal(image)
 
 
-def _first_difference(p: Position, q: Position) -> int:
-    return next((i for i, (a, b) in enumerate(zip(p, q)) if a != b), min(len(p), len(q)))
-
-
 def _history_mergeable(p: Position, q: Position) -> bool:
     """Some history mixer makes the images comparable iff p, q split at a mover move."""
-    return _first_difference(p, q) % 2 == 0
+    return common_prefix_length(p, q) % 2 == 0
 
 
 def _history_witness(Z: PositionSet, k: int, p: Position, q: Position) -> tuple:
     # x = 0 keeps p's blocks as its responder symbols; on q's histories past
     # the split, which p never reads, x shifts q's blocks onto p's
     table = dict.fromkeys(mixer_histories(Z), 0)
-    for j in range(_first_difference(p, q) // 2, min(len(p), len(q)) // 2):
+    for j in range(common_prefix_length(p, q) // 2, min(len(p), len(q)) // 2):
         table[q[: 2 * j + 1]] = (p[2 * j + 1] - q[2 * j + 1]) % k
     mixer = HistoryMixer(table, k)
     return mixer, mixer

@@ -219,27 +219,8 @@ class Measure:
         return {"tail": self.tail}
 
 
-class MeasureSpec:
-    """A single measure for every stage, or one measure per stage."""
-
-    def __init__(self, single: Measure | None = None, stages: Sequence[Measure] | None = None):
-        if (single is None) == (stages is None):
-            raise ValueError("specify exactly one of single or stages")
-        self.single = single
-        self.stages = tuple(stages) if stages is not None else None
-
-    @classmethod
-    def uniform(cls, k: int) -> "MeasureSpec":
-        return cls(single=Measure.uniform(k))
-
-    def at_stage(self, i: int) -> Measure:
-        """Measure for the responder's i-th move (1-based)."""
-        if self.single is not None:
-            return self.single
-        assert self.stages is not None
-        if i < 1 or i > len(self.stages):
-            raise MeasureError(f"no measure declared for stage {i}")
-        return self.stages[i - 1]
+# the name the benchmark's census workload calls: ``MeasureSpec.uniform(2)``
+MeasureSpec = Measure
 
 
 @dataclass(frozen=True)
@@ -254,14 +235,14 @@ class MeasureCriterionReport:
         }
 
 
-def measure_criterion(Z: PositionSet, measures: MeasureSpec) -> MeasureCriterionReport:
+def measure_criterion(Z: PositionSet, measure: Measure) -> MeasureCriterionReport:
     """Exact sum over the set of the product of responder-move weights.
 
     A total below 1 certifies a responder win: a random responder playing
-    the stage measures hits each listed position with exactly the product
-    probability, and a winning mover would force total probability 1.
+    i.i.d. from the measure hits each listed position with exactly the
+    product probability, and a winning mover would force total probability 1.
     """
-    total = word_sum(map(hat, Z), lambda i, a: measures.at_stage(i + 1).weight(a))
+    total = word_sum(map(hat, Z), lambda i, a: measure.weight(a))
     return MeasureCriterionReport(total, total < 1)
 
 

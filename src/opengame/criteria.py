@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .tree import PositionSet, hat
+from .tree import Position, PositionSet, hat
 
 MORAN_RESIDUAL_BOUND = 1e-12
 
@@ -149,12 +149,11 @@ def subtree_criterion(Z: PositionSet, k: int, n: int) -> Fraction:
         raise ValueError(f"subtree level n={n} out of range")
     if not Z.positions:
         return Fraction(0)
-    scale = k ** (n // 2)
+    hats: dict[Position, list[Position]] = {}
+    for p in Z:
+        hats.setdefault(p[:n], []).append(hat(p))
     uniform = uniform_weight(k)
-    return max(
-        scale * word_sum((hat(p) for p in Z if p[:n] == root), uniform)
-        for root in {p[:n] for p in Z}
-    )
+    return k ** (n // 2) * max(word_sum(group, uniform) for group in hats.values())
 
 
 def _finite_length_counts(Z: PositionSet) -> list[tuple[int, int]]:

@@ -2,12 +2,14 @@
 
 A node that is not a prefix of an element of Z can never reach Z, so the
 responder wins there and the winner is decided on the finite trie of
-prefixes of the even-normalized Z.  Induction evaluates that trie deepest
-first: an element of Z is a mover win, a child off the trie a responder
+prefixes of the even-normalized Z, the set's cached ``PositionSet.trie``.
+Induction visits its node ids in reverse preorder, every child before its
+parent: an element of Z is a mover win, a child off the trie a responder
 win, even-length nodes take OR over their k children and odd-length nodes
 AND.  One walker then plays the winner's smallest winning symbol against
-every reply down to depth D; it yields the winning strategy, its
-uniqueness and the elements of Z the plays reach.  Budgets count the
+every reply down to depth D, carrying each position's trie node until the
+play leaves the trie; it yields the winning strategy, its uniqueness and
+the elements of Z the plays reach.  Budgets count the
 trie's nodes and, before the responder's walk starts, the exact number of
 nodes it will visit.  A deliberately dumb unmemoized minimax over all k^D
 leaves serves as an independent oracle.  All operations are pure and,
@@ -121,36 +123,30 @@ def _check_budget(k: int, depth: int, budget: int) -> None:
 
 
 class _Induction:
-    """Backward induction over the trie of prefixes of the normalized Z."""
+    """Backward induction over ``zset.trie`` of the normalized Z, by node id."""
 
     def __init__(self, game: GameInstance, budget: int):
         self.k = game.k
         self.depth = game.depth
-        self.zt = game.zset.positions
-        trie: set[Position] = set()
-        for z in self.zt:
-            for n in range(len(z), -1, -1):
-                if (q := z[:n]) in trie:
-                    break
-                trie.add(q)
-        if len(trie) > budget:
-            raise BudgetExceededError(f"the trie of Z has {len(trie)} nodes, budget is {budget}")
-        self.win: dict[Position, bool] = {}
+        self.children, self.terminal = game.zset.trie
+        # the trie always has a root, but an empty Z has no prefix
+        nodes = len(self.children) if game.zset.positions else 0
+        if nodes > budget:
+            raise BudgetExceededError(f"the trie of Z has {nodes} nodes, budget is {budget}")
+        words = game.zset.trie_words()
+        self.win = [False] * len(self.children)
         self.counts: dict[Position, int] = {}  # winning children of even non-Z nodes
-        for p in sorted(trie, key=len, reverse=True):
-            if p in self.zt:
-                self.win[p] = True
+        for node in reversed(range(nodes)):
+            if self.terminal[node]:
+                self.win[node] = True
                 continue
-            children = [self.wins(p + (a,)) for a in range(self.k)]
-            if len(p) % 2 == 0:
-                self.counts[p] = sum(children)
-                self.win[p] = self.counts[p] > 0
+            won = sum(self.win[child] for child in self.children[node].values())
+            if len(words[node]) % 2 == 0:
+                self.counts[words[node]] = won
+                self.win[node] = won > 0
             else:
-                self.win[p] = all(children)
-
-    def wins(self, p: Position) -> bool:
-        """Whether Player 1 wins from p; off the trie Player 2 does."""
-        return self.win.get(p, False)
+                # a missing child is off the trie, so a responder win
+                self.win[node] = won == self.k
 
 
 def _walk(ind: _Induction, player: int) -> tuple[dict[Position, int], bool, set[Position]]:
@@ -158,27 +154,29 @@ def _walk(ind: _Induction, player: int) -> tuple[dict[Position, int], bool, set[
 
     Returns the winner's explicit table, whether each of Player 1's moves
     was its only winning symbol (always False for Player 2), and the
-    elements of Z the plays reach.  Player 1's walk stays on the trie.
-    Player 2's runs down to depth D off the trie too, so its table is total
-    on every play consistent with it.
+    elements of Z the plays reach.  Each position travels with its trie
+    node, None once the play has left the trie.  Player 1's walk stays on
+    the trie.  Player 2's runs down to depth D off the trie too, so its
+    table is total on every play consistent with it.
     """
     table: dict[Position, int] = {}
     unique = player == 1
     reached: set[Position] = set()
-    stack: list[Position] = [()]
+    stack: list[tuple[Position, int | None]] = [((), 0)]
     while stack:
-        p = stack.pop()
-        if p in ind.zt:
+        p, node = stack.pop()
+        below = {} if node is None else ind.children[node]
+        if node is not None and ind.terminal[node]:
             reached.add(p)
         elif len(p) == ind.depth:
             continue
         elif len(p) % 2 == player - 1:
-            unique = unique and ind.counts[p] == 1
-            move = next(a for a in range(ind.k) if ind.wins(p + (a,)) == (player == 1))
-            table[p] = move
-            stack.append(p + (move,))
+            good = [a for a in range(ind.k) if (a in below and ind.win[below[a]]) == (player == 1)]
+            unique = unique and len(good) == 1
+            table[p] = good[0]
+            stack.append((p + (good[0],), below.get(good[0])))
         else:
-            stack.extend(p + (a,) for a in range(ind.k))
+            stack.extend((p + (a,), below.get(a)) for a in range(ind.k))
     return table, unique, reached
 
 
@@ -201,7 +199,7 @@ def solve(game: GameInstance, budget: int = DEFAULT_BUDGET) -> SolveReport:
             )
         warning = TRUNCATION_WARNING
     ind = _Induction(game, budget)
-    winner = 1 if ind.wins(()) else 2
+    winner = 1 if ind.win[0] else 2
     if winner == 2:
         # never reaching Z, the responder's walk meets all k moves at every
         # even node down to depth D and answers each with one move
@@ -245,7 +243,7 @@ def extract_minimal_size(game: GameInstance, budget: int = DEFAULT_BUDGET) -> Po
     every reply, and a node in Z contributes exactly itself.
     """
     ind = _Induction(game, budget)
-    if not ind.wins(()):
+    if not ind.win[0]:
         raise ValueError("extract_minimal_size requires a Player-1 win")
     _, _, chosen = _walk(ind, 1)
     total = word_sum(map(hat, chosen), uniform_weight(game.k))

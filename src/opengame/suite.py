@@ -20,7 +20,6 @@ from typing import Callable, Iterable
 from .codes import PrefixCode, history_equivalence_check
 from .covering import (
     Measure,
-    MeasureSpec,
     identity_sum,
     measure_criterion,
     mismatch_count,
@@ -404,7 +403,7 @@ def _mc_pairs() -> list[tuple[PrefixCode, Measure]]:
 def battery_measures_monte_carlo(data: SuiteData) -> tuple[bool, str]:
     start = time.monotonic()
     failures = 0
-    uniform = MeasureSpec.uniform(2)
+    uniform = Measure.uniform(2)
     for zset, total in zip(data.exhaustive, data.krafts):
         if measure_criterion(zset, uniform).sum != total:
             failures += 1

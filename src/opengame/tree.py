@@ -34,6 +34,11 @@ def is_prefix(p: Position, q: Position) -> bool:
     return len(p) <= len(q) and q[: len(p)] == p
 
 
+def common_prefix_length(p: Position, q: Position) -> int:
+    """Length of the longest common prefix of p and q, scanned in C."""
+    return next(compress(count(), map(ne, p, q)), min(len(p), len(q)))
+
+
 def hat(p: Position) -> Position:
     """The responder's moves: entries at even 1-based index, half the length."""
     return p[1::2]
@@ -81,8 +86,7 @@ class PositionSet:
         terminal = [False]
         path, prev = [0], ()  # path[j]: the node of prev[:j]
         for word in self._sorted:
-            # the first index where they differ, scanned in C
-            j = next(compress(count(), map(ne, prev, word)), min(len(prev), len(word)))
+            j = common_prefix_length(prev, word)
             del path[j + 1 :]
             for symbol in word[j:]:
                 children[path[-1]][symbol] = len(children)
@@ -92,6 +96,19 @@ class PositionSet:
             terminal[path[-1]] = True
             prev = word
         return children, terminal
+
+    def trie_words(self) -> list[Position]:
+        """The word of each node of ``trie`` by node id: the sorted prefix closure.
+
+        Built afresh on every call, so the cached trie holds no tuples.
+        """
+        words: list[Position] = [()]
+        prev: Position = ()
+        for word in self._sorted:
+            j = common_prefix_length(prev, word)
+            words.extend(word[:n] for n in range(j + 1, len(word) + 1))
+            prev = word
+        return words
 
     @cached_property
     def even_normalized(self) -> bool:

@@ -157,6 +157,19 @@ def test_cx_code_examples():
             assert x.as_mixer(z) == mixer
 
 
+@given(
+    st.sampled_from((2, 3)).flatmap(
+        lambda k: st.sets(st.lists(st.integers(0, k - 1), max_size=7).map(tuple), max_size=10)
+    )
+)
+def test_mixer_histories_are_the_odd_proper_prefixes(words):
+    # any word set: prefixes of one another, odd lengths, the empty set and {()}
+    z = PositionSet(words)
+    expected = sorted({p[: 2 * i + 1] for p in words for i in range(len(p) // 2)})
+    assert mixer_histories(z) == expected
+    assert mixer_histories(PositionSet([])) == mixer_histories(PositionSet([()])) == []
+
+
 @given(st.data())
 def test_lifted_vector_encodes_each_block_per_stage(data):
     k = data.draw(st.sampled_from((2, 3)))

@@ -11,7 +11,6 @@ from opengame.covering import (
     LESS_THAN_ONE,
     Measure,
     MeasureError,
-    MeasureSpec,
     _GOLDEN,
     _MASK64,
     _splitmix64,
@@ -166,29 +165,21 @@ def test_averaged_identity_examples():
 
 
 def test_measure_criterion_examples():
-    uniform = MeasureSpec.uniform(2)
+    uniform = Measure.uniform(2)
     report = measure_criterion(PositionSet([(0, 0)]), uniform)
     assert report.sum == Fraction(1, 2) and report.p2_certificate
     report = measure_criterion(PositionSet([(0, 0), (0, 1)]), uniform)
     assert report.sum == 1 and not report.p2_certificate
-    staged = MeasureSpec(
-        stages=[Measure(weights={0: Fraction(1, 4), 1: Fraction(3, 4)})]
-    )
-    report = measure_criterion(PositionSet([(0, 0), (0, 1)]), staged)
+    skewed = Measure(weights={0: Fraction(1, 4), 1: Fraction(3, 4)})
+    report = measure_criterion(PositionSet([(0, 0), (0, 1)]), skewed)
     assert report.sum == 1 and not report.p2_certificate
 
 
 def test_measure_criterion_uniform_equals_kraft():
-    uniform = MeasureSpec.uniform(2)
+    uniform = Measure.uniform(2)
     for words in enumerate_antichain_codes(2, 2):
         z = PositionSet(tuple(s for a in w for s in (0, a)) for w in words)
         assert measure_criterion(z, uniform).sum == kraft_sum(z, 2)
-
-
-def test_measure_criterion_missing_stage_errors():
-    staged = MeasureSpec(stages=[Measure.uniform(2)])
-    with pytest.raises(MeasureError):
-        measure_criterion(PositionSet([(0, 0, 1, 1)]), staged)
 
 
 def test_weighted_identity_uniform_reduces_to_identity_sum():

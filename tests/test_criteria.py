@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, strategies as st
 from opengame.codes import PrefixCode
 from opengame.covering import (
     Measure,
-    MeasureSpec,
     exact_hit_probability,
     measure_criterion,
     weighted_identity,
@@ -21,7 +21,7 @@ from opengame.criteria import (
     subtree_criterion,
     word_sum,
 )
-from opengame.suite import enumerate_antichain_codes, geometric_ladder
+from opengame.suite import enumerate_antichain_codes, geometric_ladder, random_even_antichain
 from opengame.tree import PositionSet, normalize_even
 
 
@@ -73,6 +73,25 @@ def test_subtree_criterion_level_zero_is_kraft():
     for words in enumerate_antichain_codes(2, 2):
         z = normalize_even(PositionSet(words), 2)
         assert subtree_criterion(z, 2, 0) == kraft_sum(z, 2)
+
+
+def _subtree_by_root(z: PositionSet, k: int, n: int) -> Fraction:
+    """The definition: rescale the sum below each length-n root, one root at a time."""
+    def below(root):
+        return sum((Fraction(1, k ** (len(p) // 2)) for p in z if p[:n] == root), Fraction(0))
+
+    return max(k ** (n // 2) * below(root) for root in {p[:n] for p in z})
+
+
+def test_subtree_criterion_matches_the_per_root_definition():
+    rng = random.Random(2026)
+    for _ in range(300):
+        k = rng.choice((2, 3))
+        z = random_even_antichain(rng, k, rng.choice((2, 4, 6)))
+        if not z.positions:
+            continue
+        for n in range(z.min_length + 1):
+            assert subtree_criterion(z, k, n) == _subtree_by_root(z, k, n)
 
 
 def test_subtree_criterion_range_errors():
@@ -163,7 +182,7 @@ def test_word_sum_matches_the_plain_fraction_sum(words, weight):
 def test_kraft_sum_is_the_uniform_measure_criterion(case):
     k, words = case
     z = PositionSet(words)
-    assert kraft_sum(z, k) == measure_criterion(z, MeasureSpec.uniform(k)).sum
+    assert kraft_sum(z, k) == measure_criterion(z, Measure.uniform(k)).sum
 
 
 @given(

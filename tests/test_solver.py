@@ -112,6 +112,29 @@ def test_uniqueness_flag():
     assert report.winning_action_counts[()] == 2
 
 
+def test_solve_empty_and_root_sets():
+    # the trie always has a root node, but an empty Z has no prefix, so
+    # it counts no trie nodes; only the responder's one-node walk counts
+    empty, root = GameInstance(2, PositionSet([])), GameInstance(2, PositionSet([()]))
+    expected = {
+        "winner": 2,
+        "strategy": {"player": 2, "kind": "explicit", "table": []},
+        "unique_p1_strategy": False,
+        "winning_action_counts": [],
+        "certificate": None,
+        "warning": None,
+    }
+    assert solve(empty, budget=1).to_json_dict() == expected
+    with pytest.raises(BudgetExceededError, match="^the strategy walk visits more than 0 nodes$"):
+        solve(empty, budget=0)
+    expected.update(winner=1, unique_p1_strategy=True)
+    expected["strategy"]["player"] = 1
+    assert solve(root, budget=1).to_json_dict() == expected
+    with pytest.raises(BudgetExceededError, match="^the trie of Z has 1 nodes, budget is 0$"):
+        solve(root, budget=0)
+    assert extract_minimal_size(root, budget=1).positions == {()}
+
+
 def test_oracle_examples():
     assert brute_force_oracle(GameInstance(2, PositionSet([(0, 0), (0, 1)]))) == 1
     assert brute_force_oracle(GameInstance(2, PositionSet([]))) == 2

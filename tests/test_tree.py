@@ -71,6 +71,7 @@ def test_trie_nodes_are_the_prefixes_in_preorder(drawn):
     assert len(labels) == len(prefixes) and set(labels) == prefixes
     assert labels == sorted(labels)
     assert terminal == [p in words for p in labels]
+    assert PositionSet(words).trie_words() == labels
 
 
 @settings(max_examples=200)
