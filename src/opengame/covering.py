@@ -208,16 +208,6 @@ class Measure:
             acc += 0.5**n
         return n
 
-    def to_json_dict(self) -> dict:
-        if self.weights is not None:
-            return {
-                "weights": {
-                    str(s): f"{w.numerator}/{w.denominator}"
-                    for s, w in sorted(self.weights.items())
-                }
-            }
-        return {"tail": self.tail}
-
 
 # the name the benchmark's census workload calls: ``MeasureSpec.uniform(2)``
 MeasureSpec = Measure
@@ -241,7 +231,11 @@ def measure_criterion(Z: PositionSet, measure: Measure) -> MeasureCriterionRepor
     A total below 1 certifies a responder win: a random responder playing
     i.i.d. from the measure hits each listed position with exactly the
     product probability, and a winning mover would force total probability 1.
+    A set flagged infinite is refused: the family's further positions are
+    not given.
     """
+    if Z.infinite_family:
+        raise ValueError("measure_criterion needs every position; the set is flagged infinite")
     total = word_sum(map(hat, Z), lambda i, a: measure.weight(a))
     return MeasureCriterionReport(total, total < 1)
 

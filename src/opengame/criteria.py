@@ -7,7 +7,8 @@ check in ``solver`` all compute their exact sums with it.  The only
 floating-point value is the Moran exponent, which is reported together
 with its residual.  A position of length n carries weight
 k^(-floor(n/2)): the responder moves floor(n/2) times before the position
-is complete, so the weight is the uniform chance of matching it.
+is complete, so the weight is the uniform chance of matching it.  What a
+set flagged as an infinite family certifies is decided here alone.
 """
 
 from __future__ import annotations
@@ -87,14 +88,14 @@ def uniform_weight(k: int) -> Callable[[int, int], Fraction]:
 
 
 def is_geometric_ladder(zset: PositionSet) -> bool:
-    """One even-length position per half-length 1..m and nothing else.
+    """A set flagged infinite with one even-length position per half-length 1..m.
 
     This is the only infinite-family shape with a defined closed-form tail:
     the family continues with one position per half-length m+1, m+2, ...
+    The one place that reads the flag together with the shape; an
+    unflagged set costs one attribute read.
     """
-    if not zset.positions:
-        return False
-    if not zset.even_normalized:
+    if not zset.infinite_family or not zset.positions or not zset.even_normalized:
         return False
     halves = sorted(len(p) // 2 for p in zset)
     return halves == list(range(1, len(halves) + 1))
@@ -108,7 +109,7 @@ def kraft_sum(Z: PositionSet, k: int) -> Fraction:
     levels, totalling 1/(k-1)).  Other flagged sets yield the partial sum
     of the listed positions; no general tail is defined.
     """
-    if Z.infinite_family and is_geometric_ladder(Z):
+    if is_geometric_ladder(Z):
         return Fraction(1, k - 1)
     return word_sum(map(hat, Z), uniform_weight(k))
 
@@ -121,16 +122,17 @@ def is_minimal_size(Z: PositionSet, k: int) -> bool:
 def p2_certificate(Z: PositionSet, k: int) -> P2Certificate | None:
     """Return a responder-win certificate when the exact sum allows one.
 
-    A finite set with sum < 1 is a responder win.  A declared-infinite
-    family is certified when its full sum is computable (geometric ladder)
-    and is at most 1.  For flagged sets without a recognized tail only the
-    listed truncation is certified; the infinite family stays open.
+    A finite set with sum < 1 is a responder win.  A flagged geometric
+    ladder is always certified: its family sum 1/(k-1) is at most 1 for
+    every k >= 2, and an open game is won at a finite depth, so an infinite
+    antichain of sum at most 1 is a responder win.  This is the one rule
+    for declared families; ``solver.solve`` reports this certificate.  For
+    other flagged sets only the listed truncation is certified; the
+    infinite family stays open.
     """
     s = kraft_sum(Z, k)
-    if Z.infinite_family and is_geometric_ladder(Z):
-        if s <= 1:
-            return P2Certificate(s, "infinite_family_sum_at_most_one")
-        return None
+    if is_geometric_ladder(Z):
+        return P2Certificate(s, "infinite_family_sum_at_most_one")
     if s < 1:
         note = None
         if Z.infinite_family:
@@ -143,8 +145,11 @@ def subtree_criterion(Z: PositionSet, k: int, n: int) -> Fraction:
     """Best rescaled sum over depth-n subtrees; a value < 1 certifies the responder.
 
     Maximizes k^(floor(n/2)) * sum over elements extending a fixed length-n
-    position.  Valid for 0 <= n <= min length in the set.
+    position.  Valid for 0 <= n <= min length in the set.  A set flagged
+    infinite is refused: the family's further positions are not given.
     """
+    if Z.infinite_family:
+        raise ValueError("subtree_criterion needs every position; the set is flagged infinite")
     if n < 0 or (Z.positions and n > Z.min_length) or (not Z.positions and n > 0):
         raise ValueError(f"subtree level n={n} out of range")
     if not Z.positions:
@@ -167,9 +172,9 @@ def moran_dimension(Z: PositionSet, k: int) -> MoranRoot:
     """Bisection root of  sum_p k^(-d*len(p)) = 1  on an even-normalized antichain.
 
     For a flagged geometric ladder the full tail is summed in closed form:
-    sum over j >= 1 of k^(-2dj) = t/(1-t) with t = k^(-2d).  The threshold
-    boolean comes from the exact half-power comparison, never from the
-    float root.
+    sum over j >= 1 of k^(-2dj) = t/(1-t) with t = k^(-2d); any other
+    flagged set has no tail and is refused.  The threshold boolean comes
+    from the exact half-power comparison, never from the float root.
     """
     if not Z.positions:
         raise ValueError("moran_dimension requires a nonempty set")
@@ -182,10 +187,9 @@ def moran_dimension(Z: PositionSet, k: int) -> MoranRoot:
         # decreases in d and no unique root exists
         raise ValueError("moran_dimension requires positions of positive length")
 
-    ladder = Z.infinite_family and is_geometric_ladder(Z)
     below_half = kraft_sum(Z, k) < 1
 
-    if ladder:
+    if is_geometric_ladder(Z):
 
         def power_sum(d: float) -> float:
             t = k ** (-2.0 * d)
@@ -193,6 +197,8 @@ def moran_dimension(Z: PositionSet, k: int) -> MoranRoot:
                 return math.inf
             return t / (1.0 - t)
 
+    elif Z.infinite_family:
+        raise ValueError("moran_dimension has no tail for a flagged set other than a ladder")
     else:
         counts = _finite_length_counts(Z)
         # exact endpoints: the sum at d=0 is |Z|, at d=1 the plain Kraft sum

@@ -1,11 +1,12 @@
 """JSON instance files: games, codes, mixing vectors, generators, measures.
 
-Every kind has a canonical emitted form (sorted keys, sorted payload,
+Game files have a canonical emitted form (sorted keys, sorted payload,
 two-space indent, trailing newline) that round-trips byte-identically
-through parse and emit.  Parsing is tolerant about the envelope (missing
-"kind"/"schema_version" default to the requested kind and version 1) but
-strict about payload shapes, and errors carry the offending path.  A
-measure file holds one measure, used at every stage.
+through parse and emit; the other kinds are only read.  Parsing is
+tolerant about the envelope (missing "kind"/"schema_version" default to
+the requested kind and version 1) but strict about payload shapes, and
+errors carry the offending path.  A measure file holds one measure, used
+at every stage.
 """
 
 from __future__ import annotations
@@ -118,17 +119,6 @@ def load_code(path: str | Path) -> PrefixCode:
         raise _fail(path, str(exc)) from None
 
 
-def code_to_json(code: PrefixCode) -> str:
-    return dumps_canonical(
-        {
-            "kind": "code",
-            "schema_version": SCHEMA_VERSION,
-            "alphabet_size": code.alphabet_size,
-            "words": [list(w) for w in code.sorted_positions()],
-        }
-    )
-
-
 # -- mixing vectors ----------------------------------------------------------
 
 
@@ -155,17 +145,6 @@ def load_xvector(path: str | Path, alphabet_size: int | None = None) -> XVector:
         return XVector(tables, alphabet_size=alphabet_size)
     except ValueError as exc:
         raise _fail(path, str(exc)) from None
-
-
-def xvector_to_json(x: XVector) -> str:
-    return dumps_canonical(
-        {
-            "kind": "xvector",
-            "schema_version": SCHEMA_VERSION,
-            "depth": x.depth,
-            "entries": [list(e) for e in x.entries],
-        }
-    )
 
 
 # -- generators ---------------------------------------------------------------
@@ -229,9 +208,3 @@ def load_measure(path: str | Path) -> Measure:
         return Measure(weights=table)
     except ValueError as exc:
         raise _fail(path, f"measure: {exc}") from None
-
-
-def measure_to_json(measure: Measure) -> str:
-    payload: dict[str, Any] = {"kind": "measure", "schema_version": SCHEMA_VERSION}
-    payload.update(measure.to_json_dict())
-    return dumps_canonical(payload)

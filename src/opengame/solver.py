@@ -13,19 +13,20 @@ the elements of Z the plays reach.  Budgets count the
 trie's nodes and, before the responder's walk starts, the exact number of
 nodes it will visit.  A deliberately dumb unmemoized minimax over all k^D
 leaves serves as an independent oracle.  All operations are pure and,
-apart from that oracle, iterative.
+apart from that oracle, iterative.  A set flagged as an infinite family
+is decided by ``criteria.p2_certificate`` where that certifies the whole
+family, and is otherwise solved as its listed truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .criteria import is_geometric_ladder, kraft_sum, uniform_weight, word_sum
+from .criteria import is_geometric_ladder, p2_certificate, uniform_weight, word_sum
 from .tree import Position, PositionSet, hat, is_prefix, normalize_even
 
 DEFAULT_BUDGET = 1 << 22
 
-INFINITE_FAMILY_CERTIFICATE = "infinite minimal-size family"
 TRUNCATION_WARNING = (
     "declared-infinite family solved as its finite truncation; "
     "inconclusive for the infinite family"
@@ -183,21 +184,15 @@ def _walk(ind: _Induction, player: int) -> tuple[dict[Position, int], bool, set[
 def solve(game: GameInstance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Determine the winner, one winning strategy, and per-node action counts.
 
-    A set flagged as an infinite family whose exact sum equals 1 is a
-    responder win without induction; the exact family sum is only
-    computable for the geometric-ladder shape, so any other flagged set
-    is solved as its finite truncation with a warning.
+    A flagged geometric ladder is a responder win without induction, with
+    the reason of its ``p2_certificate`` and no strategy; any other set
+    flagged as an infinite family is solved as its finite truncation with
+    a warning.
     """
-    warning = None
-    if game.zset.infinite_family:
-        if is_geometric_ladder(game.zset) and kraft_sum(game.zset, game.k) == 1:
-            return SolveReport(
-                winner=2,
-                strategy=None,
-                unique_p1_strategy=False,
-                certificate=INFINITE_FAMILY_CERTIFICATE,
-            )
-        warning = TRUNCATION_WARNING
+    if is_geometric_ladder(game.zset):
+        reason = p2_certificate(game.zset, game.k).reason
+        return SolveReport(winner=2, strategy=None, unique_p1_strategy=False, certificate=reason)
+    warning = TRUNCATION_WARNING if game.zset.infinite_family else None
     ind = _Induction(game, budget)
     winner = 1 if ind.win[0] else 2
     if winner == 2:

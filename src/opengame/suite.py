@@ -86,12 +86,9 @@ def enumerate_antichain_codes(k: int, depth: int) -> list[frozenset[tuple[int, .
     return rec(depth)
 
 
-def geometric_ladder(m: int, infinite_family: bool = True) -> PositionSet:
-    """The binary family with one position per half-length: (0,1)^(j-1) (0,0)."""
-    return PositionSet(
-        [(0, 1) * (j - 1) + (0, 0) for j in range(1, m + 1)],
-        infinite_family=infinite_family,
-    )
+def geometric_ladder(m: int) -> PositionSet:
+    """The flagged family with one position per half-length: (0,1)^(j-1) (0,0)."""
+    return PositionSet([(0, 1) * (j - 1) + (0, 0) for j in range(1, m + 1)], infinite_family=True)
 
 
 def random_even_antichain(rng: random.Random, k: int, depth: int) -> PositionSet:
@@ -169,8 +166,6 @@ def battery_kraft_necessity(data: SuiteData) -> tuple[bool, str]:
     violations = 0
     for winner, total in zip(data.winners, data.krafts):
         if winner == 1 and total < 1:
-            violations += 1
-        if total < 1 and winner != 2:
             violations += 1
     return violations == 0, (
         f"{len(data.exhaustive)} instances, {violations} violations of the"

@@ -9,9 +9,12 @@ direction holds: four depth-4 binary responder wins keep every per-stage
 image maximal.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from opengame.suite import BatteryResult, SuiteData, run_battery
+from opengame.suite import BatteryResult, SuiteData, battery_kraft_necessity, run_battery
+from opengame.tree import PositionSet
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +37,15 @@ def test_criterion_1_solver_matches_oracle(data):
 def test_criterion_2_kraft_necessity(data):
     result = _run("kraft_necessity", data)
     assert result.passed, result.detail
+
+
+def test_kraft_necessity_counts_each_violation_once():
+    stub = SuiteData()
+    stub.exhaustive = [PositionSet([(0, 0)])]
+    stub.winners, stub.krafts = [1], [Fraction(1, 2)]
+    passed, detail = battery_kraft_necessity(stub)
+    assert not passed
+    assert detail == "1 instances, 1 violations of the sum-at-least-one necessity"
 
 
 def test_criterion_3_minimal_extraction(data):

@@ -28,7 +28,7 @@ from opengame.tree import PositionSet, normalize_even
 def test_kraft_sum_examples():
     assert kraft_sum(PositionSet([(0, 0), (0, 1)]), 2) == 1
     assert kraft_sum(geometric_ladder(5), 2) == 1  # closed-form tail
-    assert kraft_sum(geometric_ladder(3, infinite_family=False), 2) == Fraction(7, 8)
+    assert kraft_sum(PositionSet(geometric_ladder(3).positions), 2) == Fraction(7, 8)
 
 
 def test_kraft_sum_handles_odd_lengths():
@@ -39,8 +39,9 @@ def test_kraft_sum_handles_odd_lengths():
 
 def test_ladder_shape_detection():
     assert is_geometric_ladder(geometric_ladder(4))
-    assert not is_geometric_ladder(PositionSet([(0, 0), (0, 1)]))
-    assert not is_geometric_ladder(PositionSet([]))
+    assert not is_geometric_ladder(PositionSet(geometric_ladder(4).positions))  # unflagged
+    assert not is_geometric_ladder(PositionSet([(0, 0), (0, 1)], infinite_family=True))
+    assert not is_geometric_ladder(PositionSet([], infinite_family=True))
 
 
 def test_p2_certificate_examples():
@@ -60,6 +61,20 @@ def test_p2_certificate_flagged_without_ladder_shape_is_truncation_scoped():
     cert2 = p2_certificate(z2, 2)
     assert cert2 is not None and cert2.sum == Fraction(1, 2)
     assert cert2.note is not None  # scoped to the listed truncation
+
+
+FLAGGED_NON_LADDER = PositionSet([(0, 0, 0, 0), (0, 1, 0, 0)], infinite_family=True)
+
+
+def test_readers_without_a_tail_refuse_flagged_sets():
+    # the family's further positions are not given, so no truncation is summed
+    for z in (geometric_ladder(3), FLAGGED_NON_LADDER):
+        with pytest.raises(ValueError, match="flagged infinite"):
+            subtree_criterion(z, 2, 2)
+        with pytest.raises(ValueError, match="flagged infinite"):
+            measure_criterion(z, Measure.uniform(2))
+    with pytest.raises(ValueError, match="no tail"):
+        moran_dimension(FLAGGED_NON_LADDER, 2)
 
 
 def test_subtree_criterion_examples():

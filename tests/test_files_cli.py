@@ -10,7 +10,6 @@ from opengame import files
 from opengame import cli, covering
 from opengame.cli import main
 from opengame.codes import PrefixCode, XVector
-from opengame.covering import Measure
 from opengame.suite import geometric_ladder
 from opengame.tree import PositionSet
 
@@ -26,9 +25,9 @@ def game_file(tmp_path):
 
 @pytest.fixture
 def code_file(tmp_path):
-    code = PrefixCode.of([(1,), (0, 1), (0, 0, 1), (0, 0, 0)], 2)
     path = tmp_path / "code.json"
-    path.write_text(files.code_to_json(code))
+    words = [[1], [0, 1], [0, 0, 1], [0, 0, 0]]
+    path.write_text(json.dumps({"kind": "code", "alphabet_size": 2, "words": words}))
     return str(path)
 
 
@@ -38,31 +37,25 @@ def test_game_round_trip_is_byte_identical(game_file):
     assert files.game_to_json(k, z) == first
 
 
-def test_code_and_xvector_round_trips(tmp_path):
-    code = PrefixCode.of([(0, 1), (1,)], 2)
-    text = files.code_to_json(code)
+def test_code_and_xvector_files_load(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(text)
-    assert files.code_to_json(files.load_code(path)) == text
+    path.write_text('{"kind": "code", "alphabet_size": 2, "words": [[0, 1], [1]]}')
+    assert files.load_code(path) == PrefixCode.of([(0, 1), (1,)], 2)
 
     x = XVector.from_bits((1, 0))
-    text = files.xvector_to_json(x)
     xpath = tmp_path / "x.json"
-    xpath.write_text(text)
+    xpath.write_text('{"kind": "xvector", "depth": 2, "entries": [[0, 1], [0, 0]]}')
     assert files.load_xvector(xpath) == x
-    assert files.xvector_to_json(files.load_xvector(xpath)) == text
 
     bits = tmp_path / "bits.json"
     bits.write_text('{"kind": "xvector", "bits": [1, 0]}')
     assert files.load_xvector(bits) == x
 
 
-def test_measure_round_trip(tmp_path):
-    measure = Measure(weights={0: Fraction(1, 3), 1: Fraction(2, 3)})
-    text = files.measure_to_json(measure)
+def test_measure_files_load(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text(text)
-    assert files.measure_to_json(files.load_measure(path)) == text
+    path.write_text('{"kind": "measure", "weights": {"0": "1/3", "1": "2/3"}}')
+    assert files.load_measure(path).weights == {0: Fraction(1, 3), 1: Fraction(2, 3)}
 
     tail = tmp_path / "tail.json"
     tail.write_text('{"kind": "measure", "tail": "geometric2"}')
@@ -141,7 +134,7 @@ def test_cli_codes_subcommands(tmp_path, game_file, code_file, capsys):
     assert not payload["is_bifix_code"]
 
     xfile = tmp_path / "x.json"
-    xfile.write_text(files.xvector_to_json(XVector.from_bits((0,))))
+    xfile.write_text(json.dumps({"kind": "xvector", "depth": 1, "entries": [[0, 0]]}))
     assert main(["codes", "cx", game_file, "--x", str(xfile)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["words"] == [[0], [1]]

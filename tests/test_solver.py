@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from opengame.criteria import kraft_sum
+from opengame.criteria import kraft_sum, p2_certificate
 from opengame.solver import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -33,19 +33,26 @@ def test_solve_examples():
 
 
 def test_solve_ladder_truncations_are_responder_wins():
-    for m in range(1, 5):
-        z = geometric_ladder(m, infinite_family=False)
-        report = solve(GameInstance(2, z))
-        assert report.winner == 2
-        assert report.certificate is None
-        assert verify_strategy(GameInstance(2, z), report.strategy)
+    # unflagged, the ladder's positions are a finite game, solved by induction
+    for k in (2, 3, 4):
+        for m in range(1, 6):
+            game = GameInstance(k, PositionSet(geometric_ladder(m).positions))
+            report = solve(game)
+            assert report.winner == 2
+            assert report.certificate is None
+            assert verify_strategy(game, report.strategy)
 
 
 def test_solve_flagged_family_short_circuits():
-    report = solve(GameInstance(2, geometric_ladder(3)))
-    assert report.winner == 2
-    assert report.certificate == "infinite minimal-size family"
-    assert report.strategy is None
+    # solve certifies what p2_certificate certifies for the whole family
+    for k in (2, 3, 4):
+        for m in range(1, 6):
+            family = geometric_ladder(m)
+            report = solve(GameInstance(k, family))
+            assert report.winner == 2
+            assert report.certificate == p2_certificate(family, k).reason
+            assert report.certificate == "infinite_family_sum_at_most_one"
+            assert report.strategy is None
 
 
 def test_solve_flagged_truncation_with_partial_sum_warns():
